@@ -530,7 +530,10 @@ def claim_multiplicativity(corpus: list[GroupTable], min_pairs: int = 50) -> Cla
                 structural.normal_orders,
             ):
                 failures.append((g1.label, g2.label))
-        status = "verified" if not failures and len(pairs) >= min_pairs else "refuted"
+        if failures:
+            status = "refuted"
+        else:
+            status = "verified" if len(pairs) >= min_pairs else "partial"
         return ClaimResult(
             claim_id="thm-sigma-tau-multiplicative",
             status=status,

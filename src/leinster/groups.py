@@ -322,39 +322,41 @@ def normal_subgroups(G: GroupTable) -> list[ElementSet]:
 
     Normal closures of the conjugacy classes are closed under pairwise join
     (subgroup generated by the union) until fixpoint; every normal subgroup
-    is the join of the closures of the classes it contains.
+    is the join of the closures of the classes it contains.  Classes whose
+    members generate conjugate cyclic subgroups share one normal closure, so
+    one closure is computed per conjugacy class of nontrivial cyclic
+    subgroups.
     """
     n = G.order
     t = G.table
     inv = G.inv_array
+    e = G.identity
     found: dict[bytes, np.ndarray] = {}
 
-    triv = np.array([G.identity], dtype=np.int64)
+    triv = np.array([e], dtype=np.int64)
     found[_mask_bytes(triv, n)] = triv
 
-    # One normal-closure seed per cyclic subgroup: the normal closure of g is
-    # the closure of its conjugacy class, and every generator of <g> has the
-    # same one, so generators of an already-seen cyclic subgroup are skipped.
+    # One normal-closure seed per conjugacy class of cyclic subgroups: the
+    # normal closure of g is the closure of its conjugacy class, and every
+    # conjugate of every generator g^k (gcd(k, |g|) = 1) of <g> has the same
+    # one, so all of them are marked covered once g is seeded.
     covered = np.zeros(n, dtype=bool)
-    covered[G.identity] = True
+    covered[e] = True
     for g in range(n):
         if covered[g]:
             continue
-        cyc = [g]
-        cur = g
-        e = G.identity
-        while True:
-            cur = int(t[cur, g])
-            if cur == e:
-                break
-            cyc.append(cur)
-        m = len(cyc) + 1
-        covered[[cyc[k - 1] for k in range(1, m) if math.gcd(k, m) == 1]] = True
         cls = np.unique(t[t[:, g], inv])
         ids = _closure_ids(G, cls)
         found.setdefault(_mask_bytes(ids, n), ids)
+        # powers[k - 1] holds the k-th powers of every class member at once
+        powers = [cls]
+        while powers[-1][0] != e:
+            powers.append(t[powers[-1], cls])
+        m = len(powers)
+        for k in range(1, m):
+            if math.gcd(k, m) == 1:
+                covered[powers[k - 1]] = True
 
-    t = G.table
     work = list(found.values())
     while work:
         a = work.pop()
@@ -412,13 +414,31 @@ def _is_p_power(n: int, p: int) -> bool:
     return n == 1
 
 
+def _element_orders(G: GroupTable) -> np.ndarray:
+    """Order of every element, from one power sweep over the table: step
+    every pending element's power at once until it reaches the identity."""
+    t = G.table
+    e = G.identity
+    orders = np.ones(G.order, dtype=np.int64)
+    pending = np.flatnonzero(np.arange(G.order) != e)
+    cur = pending
+    k = 1
+    while pending.size:
+        cur = t[cur, pending]
+        k += 1
+        done = cur == e
+        orders[pending[done]] = k
+        pending, cur = pending[~done], cur[~done]
+    return orders
+
+
 def sylow(G: GroupTable, p: int) -> ElementSet:
     """One Sylow p-subgroup, deterministic (greedy growth in id order)."""
     n = G.order
     if p < 2 or n % p != 0:
         raise InputError(f"{p} does not divide the group order {n}")
     pk = _p_part(n, p)
-    orders = np.array([G.element_order(g) for g in range(n)])
+    orders = _element_orders(G)
     p_elems = [g for g in range(n) if _is_p_power(int(orders[g]), p)]
     # seeds: maximal-order p-elements first, then ascending id
     seeds = sorted(p_elems, key=lambda g: (-int(orders[g]), g))

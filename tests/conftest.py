@@ -54,10 +54,12 @@ def is_normal_bruteforce(G: GroupTable, sub: frozenset) -> bool:
     )
 
 
+def normal_subgroups_bruteforce(G: GroupTable) -> set[frozenset]:
+    return {s for s in all_subgroups_bruteforce(G) if is_normal_bruteforce(G, s)}
+
+
 def normal_orders_bruteforce(G: GroupTable) -> list[int]:
-    return sorted(
-        len(s) for s in all_subgroups_bruteforce(G) if is_normal_bruteforce(G, s)
-    )
+    return sorted(len(s) for s in normal_subgroups_bruteforce(G))
 
 
 # Small groups exercised by several suites: a mix of abelian, dihedral,

@@ -8,10 +8,12 @@ from leinster.claims import (
     census_universe,
     claim_bound,
     claim_equation,
+    claim_multiplicativity,
     cmd_census,
     cmd_verify_p2qr,
     cmd_verify_pqrs,
     cmd_verify_theorems,
+    corpus_groups,
     list_claim_ids,
     p2qr_candidates,
     pqrs_orders,
@@ -144,6 +146,12 @@ class TestTheoremClaims:
 
     def test_multiplicativity_pair_count(self, results):
         assert results["thm-sigma-tau-multiplicative"].evidence["pairs_checked"] >= 50
+
+    def test_too_few_pairs_is_partial_not_refuted(self):
+        # corpus bound 0 leaves only the named groups, which form no pair
+        res = claim_multiplicativity(corpus_groups(0))
+        assert res.evidence == {"pairs_checked": 0, "failures": []}
+        assert res.status == "partial"
 
     def test_equation_claims_carry_oracle_agreement(self, results):
         for eq_id in EQUATION_CLAIMS:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from leinster import __version__
+from leinster import __version__, cli
 from leinster.cli import main
 
 
@@ -31,6 +31,21 @@ class TestExitCodes:
     def test_bad_value_exits_two(self, capsys):
         assert main(["census", "--bound", "-3"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_out_into_missing_directory_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "cmd_census", lambda *a: pytest.fail("claim ran"))
+        out = tmp_path / "missing" / "report.json"
+        assert main(["census", "--bound", "40", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exits_two(self, jobs, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "cmd_verify_pqrs", lambda *a, **k: pytest.fail("claim ran"))
+        assert main(["pqrs", "--bound", "30", "--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_capacity_overflow_reports_partial(self, capsys):
         # the census catches the capacity error and reports a partial claim

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import normal_orders_bruteforce
+from conftest import ORACLE_SPECS, cyclic_subgroup, normal_subgroups_bruteforce
 
-from leinster import constructors
+from leinster import constructors, groups
+from leinster.claims import corpus_groups
 from leinster.errors import CapacityError, InputError
 from leinster.groups import (
     GroupTable,
+    _element_orders,
+    _p_part,
     center,
     conjugacy_classes,
     derived_subgroup,
@@ -18,6 +21,7 @@ from leinster.groups import (
     subgroup_closure,
     sylow,
 )
+from leinster.numtheory import prime_factors
 
 
 def build(text):
@@ -117,8 +121,29 @@ class TestInvariantSubgroups:
 
 class TestNormalSubgroups:
     def test_against_bruteforce_oracle(self, oracle_group):
-        engine = sorted(N.size for N in normal_subgroups(oracle_group))
-        assert engine == normal_orders_bruteforce(oracle_group)
+        engine = [N.members for N in normal_subgroups(oracle_group)]
+        assert len(set(engine)) == len(engine)
+        assert set(engine) == normal_subgroups_bruteforce(oracle_group)
+
+    def test_one_closure_per_class_of_cyclic_subgroups(self, oracle_group, monkeypatch):
+        G = oracle_group
+        cyclic = {cyclic_subgroup(G, g) for g in range(G.order) if g != G.identity}
+        classes = {
+            frozenset(
+                frozenset(G.mul(G.mul(x, c), G.inv(x)) for c in C) for x in range(G.order)
+            )
+            for C in cyclic
+        }
+        calls = []
+        closure_ids = groups._closure_ids
+
+        def counting(G, gens):
+            calls.append(gens)
+            return closure_ids(G, gens)
+
+        monkeypatch.setattr(groups, "_closure_ids", counting)
+        normal_subgroups(G)
+        assert len(calls) == len(classes)
 
     def test_known_lattices(self):
         assert sorted(N.size for N in normal_subgroups(build("C6"))) == [1, 2, 3, 6]
@@ -178,3 +203,23 @@ class TestQuotientSylowProduct:
         G = build("C6")
         s = element_set(G, [3, 1, 5])
         assert s.to_ids() == [1, 3, 5]
+
+
+class TestElementOrdersAndSylow:
+    def test_sweep_matches_scalar_and_permutation_orders(self):
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        for G in corpus_groups(30) + [build(spec) for spec in ORACLE_SPECS]:
+            orders = _element_orders(G).tolist()
+            assert orders == [G.element_order(g) for g in range(G.order)], G.label
+            # the order of g is the order of left multiplication by g
+            regular = [combinatorics.Permutation(G.table[g].tolist()).order() for g in range(G.order)]
+            assert orders == regular, G.label
+
+    def test_sylow_on_corpus(self):
+        for G in corpus_groups(120):
+            n = G.order
+            for p in prime_factors(n):
+                P = sylow(G, p)
+                assert subgroup_closure(G, P.members) == P, (G.label, p)
+                assert P.size == _p_part(n, p), (G.label, p)
+                assert all(P.size % G.element_order(g) == 0 for g in P.members), (G.label, p)
