@@ -45,9 +45,9 @@ from .numtheory import (
     scan_equation_bruteforce,
 )
 from .squarefree import (
-    canonical_twist,
     enumerate_squarefree,
     holder_count,
+    twist_classes,
 )
 
 # Named small groups carried alongside the systematic families.
@@ -170,16 +170,15 @@ def dicyclic_normal_orders(m: int) -> list[int]:
 
 
 def _split_metacyclic_specs(bound: int) -> list[tuple[int, int, int]]:
-    """All canonical (a, b, t) with gcd(a,b)=1, t^b=1 mod a, t != 1, ab <= bound."""
-    out = set()
-    for b in range(2, bound // 2 + 1):
-        for a in range(2, bound // b + 1):
-            if math.gcd(a, b) != 1:
-                continue
-            for t in range(2, a):
-                if math.gcd(t, a) == 1 and pow(t, b, a) == 1:
-                    out.add((a, b, canonical_twist(a, b, t)))
-    return sorted(out)
+    """All canonical (a, b, t) with gcd(a,b)=1, t^b=1 mod a, t != 1, ab <= bound,
+    sorted."""
+    return [
+        (a, b, t)
+        for a in range(3, bound // 2 + 1)
+        for b in range(2, bound // a + 1)
+        if math.gcd(a, b) == 1
+        for t, _ in twist_classes(a, b)
+    ]
 
 
 def _fingerprint(rep: LeinsterReport) -> tuple:
@@ -195,40 +194,45 @@ def census_universe(bound: int, cache: ResultCache | None = None) -> list[Leinst
     if bound > CENSUS_CAP:
         raise CapacityError(f"census bound {bound} exceeds the capacity {CENSUS_CAP}")
 
-    base: list[tuple[int, LeinsterReport]] = []  # (family_priority, report)
+    # fingerprint -> (family_priority, label, report); the smallest
+    # (priority, label) of each fingerprint wins
+    pool: dict[tuple, tuple[int, str, LeinsterReport]] = {}
+
+    def offer(priority: int, rep: LeinsterReport) -> None:
+        fp = _fingerprint(rep)
+        held = pool.get(fp)
+        if held is None or (priority, rep.label) < held[:2]:
+            pool[fp] = (priority, rep.label, rep)
+
+    def survivors() -> list[LeinsterReport]:
+        return sorted((rep for _, _, rep in pool.values()), key=lambda r: (r.order, r.label))
 
     for n in range(2, bound + 1):
-        base.append((0, analyze_cyclic(n)))
+        offer(0, analyze_cyclic(n))
 
     for m in range(2, bound // 2 + 1):
-        base.append((1, report_from_orders(f"D{2 * m}", 2 * m, dihedral_normal_orders(m))))
+        offer(1, report_from_orders(f"D{2 * m}", 2 * m, dihedral_normal_orders(m)))
 
     for m in range(2, bound // 4 + 1):
-        base.append((2, report_from_orders(f"Dic{m}", 4 * m, dicyclic_normal_orders(m))))
+        offer(2, report_from_orders(f"Dic{m}", 4 * m, dicyclic_normal_orders(m)))
 
     for label in NAMED_FAMILY_LABELS:
         rep = _analyze_spec_cached(label, cache)
         if rep.order <= bound:
-            base.append((3, rep))
+            offer(3, rep)
 
     for n in range(2, bound + 1):
         if is_squarefree(n):
             for d in enumerate_squarefree(n):
-                base.append((4, analyze_descriptor(d)))
+                offer(4, analyze_descriptor(d))
 
     for a, b, t in _split_metacyclic_specs(bound):
-        base.append((6, analyze_split_metacyclic(a, b, t)))
-
-    base.sort(key=lambda pr: (pr[1].order, pr[0], pr[1].label))
-
-    pool: dict[tuple, LeinsterReport] = {}
-    for _, rep in base:
-        pool.setdefault(_fingerprint(rep), rep)
-    dedup_base = sorted(pool.values(), key=lambda r: (r.order, r.label))
+        offer(6, analyze_split_metacyclic(a, b, t))
 
     # pairwise coprime products (cyclic factors go last in the label); these
     # rank above the squarefree and raw split-metacyclic labels so that e.g.
     # the Dic7xC13 name wins over an isomorphic SD(...) presentation
+    dedup_base = survivors()
     for i in range(len(dedup_base)):
         for j in range(i + 1, len(dedup_base)):
             r1, r2 = dedup_base[i], dedup_base[j]
@@ -238,13 +242,9 @@ def census_universe(bound: int, cache: ResultCache | None = None) -> list[Leinst
                 continue
             if _is_cyclic_report(r1) and not _is_cyclic_report(r2):
                 r1, r2 = r2, r1
-            base.append((5, analyze_coprime_product(r1, r2)))
+            offer(5, analyze_coprime_product(r1, r2))
 
-    base.sort(key=lambda pr: (pr[1].order, pr[0], pr[1].label))
-    seen: dict[tuple, LeinsterReport] = {}
-    for _, rep in base:
-        seen.setdefault(_fingerprint(rep), rep)
-    return sorted(seen.values(), key=lambda r: (r.order, r.label))
+    return survivors()
 
 
 def _is_cyclic_report(rep: LeinsterReport) -> bool:
@@ -262,6 +262,12 @@ def cmd_census(bound: int, cache: ResultCache | None = None) -> ClaimResult:
                 statement="list all groups with sigma = 2|G| in the constructible universe",
                 evidence={"bound": bound, "error": str(exc)},
             )
+        # the squarefree enumeration must agree with Holder's count at every order
+        holder_mismatch = [
+            n
+            for n in range(2, bound + 1)
+            if is_squarefree(n) and len(enumerate_squarefree(n)) != holder_count(n)
+        ]
         hits = [r for r in universe if r.is_leinster]
         p3q_hits = [
             r.label
@@ -273,16 +279,19 @@ def cmd_census(bound: int, cache: ResultCache | None = None) -> ClaimResult:
             + (", ".join(p3q_hits) if p3q_hits else "none")
             + " found Leinster, no other hits)"
         )
+        evidence = {
+            "bound": bound,
+            "universe_size": len(universe),
+            "hits": [r.to_json() for r in hits],
+            "p3q_coverage": note,
+        }
+        if holder_mismatch:
+            evidence["holder_mismatch"] = holder_mismatch
         return ClaimResult(
             claim_id=f"census-{bound}",
-            status="verified",
+            status="partial" if holder_mismatch else "verified",
             statement="list all groups with sigma = 2|G| in the constructible universe",
-            evidence={
-                "bound": bound,
-                "universe_size": len(universe),
-                "hits": [r.to_json() for r in hits],
-                "p3q_coverage": note,
-            },
+            evidence=evidence,
         )
 
     return _timed(run)
@@ -333,6 +342,8 @@ def analyze_pqrs_order(n: int) -> dict:
 
 def cmd_verify_pqrs(bound: int, jobs: int = 1) -> ClaimResult:
     def run() -> ClaimResult:
+        if bound < 1:
+            raise InputError(f"pqrs bound must be >= 1, got {bound}")
         orders = pqrs_orders(bound)
         if jobs > 1 and len(orders) > 1:
             from concurrent.futures import ProcessPoolExecutor
@@ -345,7 +356,12 @@ def cmd_verify_pqrs(bound: int, jobs: int = 1) -> ClaimResult:
         all_counts = all(d["count_matches"] for d in per_order)
         all_engine = all(d["engine_validated"] in (True, None) for d in per_order)
         hits = [h for d in per_order for h in d["leinster_hits"]]
-        status = "verified" if (all_counts and all_engine and not hits) else "refuted"
+        if not per_order:
+            status = "partial"  # no order in range, so nothing was checked
+        elif all_counts and all_engine and not hits:
+            status = "verified"
+        else:
+            status = "refuted"
         return ClaimResult(
             claim_id=f"pqrs-{bound}",
             status=status,
@@ -403,15 +419,8 @@ def p2qr_candidates(p: int, q: int, r: int) -> list[LeinsterReport]:
     pp = p * p
     for a in (q, r, qr):
         c = qr // a
-        seen_t = set()
-        for t in range(2, a):
-            if math.gcd(t, a) != 1 or pow(t, pp, a) != 1:
-                continue
-            ct = canonical_twist(a, pp, t)
-            if ct in seen_t:
-                continue
-            seen_t.add(ct)
-            rep = analyze_split_metacyclic(a, pp, ct)
+        for t, _ in twist_classes(a, pp):
+            rep = analyze_split_metacyclic(a, pp, t)
             if c > 1:
                 rep = analyze_coprime_product(rep, analyze_cyclic(c))
             out.append((1, rep))

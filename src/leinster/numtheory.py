@@ -441,10 +441,3 @@ BOUNDS: dict[str, FractionBound] = {
         ),
     ]
 }
-
-
-def get_bound(bound_id: str) -> FractionBound:
-    try:
-        return BOUNDS[bound_id]
-    except KeyError:
-        raise InputError(f"unknown bound id {bound_id!r}") from None

@@ -83,32 +83,77 @@ def canonical_twist(a: int, b: int, t: int) -> int:
     return min(pow(t, k, a) for k in range(1, b + 1) if math.gcd(k, b) == 1)
 
 
-def _make_descriptor(a: int, b: int, t: int) -> MetacyclicDescriptor:
-    if b == 1:
-        return MetacyclicDescriptor(a, 1, 1)
-    return MetacyclicDescriptor(a, b, canonical_twist(a, b, t))
-
-
 @lru_cache(maxsize=8192)
+def _unit_components(a: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(p^k, p - 1, w, e) for each odd prime power p^k || a.
+
+    w has order exactly p - 1 mod p^k (a primitive root mod p raised to
+    p^(k-1) loses the p-part of its order), and the CRT idempotent e is
+    1 mod p^k and 0 mod a / p^k, so a residue c mod p^k lifts to
+    1 + (c - 1) * e mod a, which is 1 at every other prime power.
+    """
+    out = []
+    for p, k in factorize(a):
+        if p == 2:
+            continue  # b is odd, so only t = 1 mod 2^k solves t^b = 1
+        q = p**k
+        cofactors = [(p - 1) // ell for ell in prime_factors(p - 1)]
+        g = next(g for g in range(2, p) if all(pow(g, c, p) != 1 for c in cofactors))
+        rest = a // q
+        out.append((q, p - 1, pow(g, q // p, q), rest * pow(rest, -1, q) % a))
+    return tuple(out)
+
+
+def twist_classes(a: int, b: int) -> list[tuple[int, int]]:
+    """(canonical twist, order) of every orbit {t^k : gcd(k, b) = 1} of the
+    twists t != 1 with t^b = 1 mod a, ascending, for gcd(a, b) = 1.
+
+    The solutions form the product over odd p^k || a of the subgroups of
+    order gcd(b, p - 1) of (Z/p^k)^* (p does not divide b), assembled by CRT,
+    so the work is proportional to the output.  An orbit is the set of
+    generators of <t>; walking the solutions in ascending order, the first
+    member met of each orbit is its minimum, i.e. canonical_twist(a, b, t).
+    """
+    if math.gcd(a, b) != 1:
+        raise InputError(f"need gcd(a, b) = 1, got ({a}, {b})")
+    sols = [1]
+    for q, p1, w, e in _unit_components(a):
+        d = math.gcd(b, p1)
+        if d > 1:
+            h = pow(w, p1 // d, q)  # generates the subgroup of order d
+            lifts = [(pow(h, i, q) - 1) * e for i in range(d)]
+            sols = [(s + x) % a for s in sols for x in lifts]
+    out = []
+    seen = set()
+    for t in sorted(sols)[1:]:
+        if t in seen:
+            continue
+        powers = [t]
+        while powers[-1] != 1:
+            powers.append(powers[-1] * t % a)
+        m = len(powers)
+        seen.update(x for j, x in enumerate(powers, 1) if math.gcd(j, m) == 1)
+        out.append((t, m))
+    return out
+
+
+# room for all 12 160 squarefree orders up to the census cap of 20 000: the
+# census enumerates them in ascending order twice, and a smaller LRU cache
+# misses on every call of the second pass
+@lru_cache(maxsize=16384)
 def enumerate_squarefree(n: int) -> tuple[MetacyclicDescriptor, ...]:
     """One canonical descriptor per isomorphism class of order n, by (a, t)."""
     if n < 1 or not is_squarefree(n):
         raise InputError(f"{n} is not a squarefree positive integer")
-    found = set()
+    found = []
     for a in divisors(n):
         b = n // a
         if b == 1:
-            found.add(MetacyclicDescriptor(a, 1, 1))
-            continue
-        # a faithful action needs, for every prime l | b, some prime p | a
-        # with p = 1 mod l
-        a_primes = prime_factors(a)
-        if any(all(p % ell != 1 for p in a_primes) for ell in prime_factors(b)):
-            continue
-        for t in range(2, a):
-            if math.gcd(t, a) == 1 and order_is_exactly(t, a, b):
-                found.add(_make_descriptor(a, b, t))
-    return tuple(sorted(found, key=lambda d: (d.a, d.t)))
+            found.append(MetacyclicDescriptor(a, 1, 1))
+        else:
+            # a faithful twist has order exactly b
+            found.extend(MetacyclicDescriptor(a, b, t) for t, m in twist_classes(a, b) if m == b)
+    return tuple(found)
 
 
 @lru_cache(maxsize=8192)

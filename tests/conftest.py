@@ -1,16 +1,23 @@
-"""Shared fixtures and an independent brute-force normal-subgroup oracle.
+"""Shared fixtures and independent brute-force oracles.
 
-The oracle builds the *full* subgroup lattice as the join-closure of all
-cyclic subgroups (every subgroup is the join of its cyclic subgroups), then
-filters by an element-wise normality check.  The engine under test instead
-works from normal closures of conjugacy classes, so agreement between the
-two is meaningful.
+The normal-subgroup oracle builds the *full* subgroup lattice as the
+join-closure of all cyclic subgroups (every subgroup is the join of its
+cyclic subgroups), then filters by an element-wise normality check.  The
+engine under test instead works from normal closures of conjugacy classes,
+so agreement between the two is meaningful.
+
+The twist oracles try every t < a, where the code under test assembles the
+solutions of t^b = 1 mod a by CRT.
 """
+
+import math
 
 import pytest
 
 from leinster import constructors
 from leinster.groups import GroupTable
+from leinster.numtheory import divisors, order_is_exactly
+from leinster.squarefree import MetacyclicDescriptor, canonical_twist
 
 
 def cyclic_subgroup(G: GroupTable, g: int) -> frozenset:
@@ -60,6 +67,44 @@ def normal_subgroups_bruteforce(G: GroupTable) -> set[frozenset]:
 
 def normal_orders_bruteforce(G: GroupTable) -> list[int]:
     return sorted(len(s) for s in normal_subgroups_bruteforce(G))
+
+
+def twist_classes_bruteforce(a: int, b: int) -> list[tuple[int, int]]:
+    """(minimum, order of t) of each orbit {t^k mod a : gcd(k, b) = 1} of the
+    twists t != 1 with t^b = 1 mod a, straight from the definition."""
+    classes = {}
+    for t in range(2, a):
+        if math.gcd(t, a) == 1 and pow(t, b, a) == 1:
+            orbit = [pow(t, k, a) for k in range(1, b + 1) if math.gcd(k, b) == 1]
+            classes[min(orbit)] = next(k for k in range(1, b + 1) if pow(t, k, a) == 1)
+    return sorted(classes.items())
+
+
+def split_metacyclic_specs_bruteforce(bound: int) -> list[tuple[int, int, int]]:
+    """All canonical (a, b, t) with gcd(a,b)=1, t^b=1 mod a, t != 1, ab <= bound."""
+    out = set()
+    for b in range(2, bound // 2 + 1):
+        for a in range(2, bound // b + 1):
+            if math.gcd(a, b) != 1:
+                continue
+            for t in range(2, a):
+                if math.gcd(t, a) == 1 and pow(t, b, a) == 1:
+                    out.add((a, b, canonical_twist(a, b, t)))
+    return sorted(out)
+
+
+def enumerate_squarefree_bruteforce(n: int) -> tuple[MetacyclicDescriptor, ...]:
+    """One descriptor per faithful twist orbit of squarefree order n, by (a, t)."""
+    found = set()
+    for a in divisors(n):
+        b = n // a
+        if b == 1:
+            found.add(MetacyclicDescriptor(a, 1, 1))
+            continue
+        for t in range(2, a):
+            if math.gcd(t, a) == 1 and order_is_exactly(t, a, b):
+                found.add(MetacyclicDescriptor(a, b, canonical_twist(a, b, t)))
+    return tuple(sorted(found, key=lambda d: (d.a, d.t)))
 
 
 # Small groups exercised by several suites: a mix of abelian, dihedral,

@@ -2,9 +2,13 @@ import json
 
 import pytest
 
+from conftest import split_metacyclic_specs_bruteforce
+
+from leinster import claims
 from leinster.claims import (
     EQUATION_CLAIMS,
     ResultCache,
+    _split_metacyclic_specs,
     census_universe,
     claim_bound,
     claim_equation,
@@ -65,6 +69,20 @@ class TestCensus:
             rep = analyze(con.build(con.semidirect(a, b, t)))
             assert rep.is_leinster
 
+    def test_split_metacyclic_specs_match_bruteforce(self):
+        for bound in (1, 6, 2000):
+            assert _split_metacyclic_specs(bound) == split_metacyclic_specs_bruteforce(bound)
+
+    def test_holder_mismatch_makes_census_partial(self, monkeypatch):
+        assert "holder_mismatch" not in cmd_census(60).evidence
+        real = claims.enumerate_squarefree
+        monkeypatch.setattr(
+            claims, "enumerate_squarefree", lambda n: real(n)[1:] if n == 42 else real(n)
+        )
+        res = cmd_census(60)
+        assert res.status == "partial"
+        assert res.evidence["holder_mismatch"] == [42]
+
     def test_cache_skips_corrupt_lines(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         path.write_text('{"spec": "C6"}\nnot json at all\n')
@@ -80,9 +98,15 @@ class TestPqrs:
         assert pqrs_orders(500) == [210, 330, 390, 462]
 
     def test_small_bound_is_vacuous(self):
+        # no order of four distinct primes is <= 100: nothing was checked
         res = cmd_verify_pqrs(100)
-        assert res.status == "verified"
+        assert res.status == "partial"
         assert res.evidence["orders_checked"] == 0
+
+    @pytest.mark.parametrize("bound", [0, -5])
+    def test_rejects_bad_bound(self, bound):
+        with pytest.raises(InputError):
+            cmd_verify_pqrs(bound)
 
     def test_bound_500(self):
         res = cmd_verify_pqrs(500)

@@ -32,6 +32,13 @@ class TestExitCodes:
         assert main(["census", "--bound", "-3"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["census", "pqrs"])
+    def test_negative_bound_exits_two(self, command, capsys):
+        assert main([command, "--bound", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_out_into_missing_directory_exits_two(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "cmd_census", lambda *a: pytest.fail("claim ran"))
         out = tmp_path / "missing" / "report.json"

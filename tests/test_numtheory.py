@@ -9,7 +9,6 @@ from leinster.numtheory import (
     divisor_sum,
     divisors,
     factorize,
-    get_bound,
     get_equation,
     is_perfect,
     is_prime,
@@ -108,8 +107,6 @@ class TestEquationScanning:
 class TestFractionBounds:
     def test_registry(self):
         assert len(BOUNDS) == 11
-        with pytest.raises(InputError):
-            get_bound("nope")
 
     @pytest.mark.parametrize("bound_id", sorted(BOUNDS))
     def test_all_strictly_below_one(self, bound_id):

@@ -1,6 +1,14 @@
-import pytest
+import math
 
-from conftest import normal_orders_bruteforce
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from conftest import (
+    enumerate_squarefree_bruteforce,
+    normal_orders_bruteforce,
+    twist_classes_bruteforce,
+)
 
 from leinster.analysis import analyze
 from leinster.errors import InputError
@@ -13,6 +21,7 @@ from leinster.squarefree import (
     holder_count,
     realize,
     split_metacyclic_normal_orders,
+    twist_classes,
 )
 
 
@@ -68,6 +77,39 @@ class TestEnumeration:
         descs = enumerate_squarefree(30)
         fingerprints = {tuple(descriptor_normal_orders(d)) for d in descs}
         assert len(fingerprints) == 4
+
+    def test_matches_bruteforce_oracle_up_to_2000(self):
+        for n in range(1, 2001):
+            if is_squarefree(n):
+                assert enumerate_squarefree(n) == enumerate_squarefree_bruteforce(n), n
+
+
+class TestTwistClasses:
+    # (7, 8) and (7 * 13 * 19, 9) have twists of order below b (unfaithful),
+    # 8 * 7 * 13 has a 2-part that admits only t = 1 there, and 3 * 5 * 7^2 * 13
+    # has a repeated prime
+    @given(st.integers(1, 3000), st.integers(1, 400))
+    @example(7, 8)
+    @example(7 * 13 * 19, 9)
+    @example(8 * 7 * 13, 9)
+    @example(3 * 5 * 49 * 13, 4)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_bruteforce_orbits(self, a, b):
+        assume(math.gcd(a, b) == 1)
+        assert twist_classes(a, b) == twist_classes_bruteforce(a, b)
+
+    def test_unfaithful_orbits_are_kept(self):
+        # C_6 acting on C_7 through quotients of order 2, 3 and 6: every orbit
+        # is a split metacyclic group, only the faithful one a descriptor
+        assert twist_classes(7, 6) == [(2, 3), (3, 6), (6, 2)]
+        assert [d.t for d in enumerate_squarefree(42) if d.a == 7] == [3]
+
+    def test_non_coprime_rejected(self):
+        with pytest.raises(InputError):
+            twist_classes(15, 6)
+
+    def test_trivial_moduli(self):
+        assert twist_classes(1, 5) == twist_classes(2, 7) == twist_classes(16, 15) == []
 
 
 class TestStructuralNormalOrders:
