@@ -17,17 +17,30 @@ from .groups import GroupTable, normal_subgroups
 from .squarefree import MetacyclicDescriptor, descriptor_normal_orders, split_metacyclic_normal_orders
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LeinsterReport:
-    """Record of one group's normal-subgroup order data."""
+    """Record of one group's normal-subgroup order data; sigma, tau and the
+    odd count are derived from the stored orders."""
 
     label: str
     order: int
     normal_orders: tuple[int, ...]  # sorted multiset
-    sigma: int
-    tau: int
-    is_leinster: bool
-    odd_normal_count: int
+
+    @property
+    def sigma(self) -> int:
+        return sum(self.normal_orders)
+
+    @property
+    def tau(self) -> int:
+        return len(self.normal_orders)
+
+    @property
+    def is_leinster(self) -> bool:
+        return self.sigma == 2 * self.order
+
+    @property
+    def odd_normal_count(self) -> int:
+        return sum(m & 1 for m in self.normal_orders)
 
     def to_json(self) -> dict:
         return {
@@ -42,29 +55,11 @@ class LeinsterReport:
 
     @classmethod
     def from_json(cls, d: dict) -> "LeinsterReport":
-        return cls(
-            label=d["label"],
-            order=d["order"],
-            normal_orders=tuple(d["normal_orders"]),
-            sigma=d["sigma"],
-            tau=d["tau"],
-            is_leinster=d["leinster"],
-            odd_normal_count=d["odd_normal_count"],
-        )
+        return cls(label=d["label"], order=d["order"], normal_orders=tuple(d["normal_orders"]))
 
 
 def report_from_orders(label: str, order: int, orders: list[int]) -> LeinsterReport:
-    orders = sorted(orders)
-    sigma = sum(orders)
-    return LeinsterReport(
-        label=label,
-        order=order,
-        normal_orders=tuple(orders),
-        sigma=sigma,
-        tau=len(orders),
-        is_leinster=sigma == 2 * order,
-        odd_normal_count=sum(1 for m in orders if m % 2 == 1),
-    )
+    return LeinsterReport(label, order, tuple(sorted(orders)))
 
 
 def analyze(G: GroupTable) -> LeinsterReport:
@@ -106,5 +101,5 @@ def analyze_coprime_product(r1: LeinsterReport, r2: LeinsterReport) -> LeinsterR
         return r2
     if r2.order == 1:
         return r1
-    orders = sorted(m1 * m2 for m1 in r1.normal_orders for m2 in r2.normal_orders)
+    orders = [m1 * m2 for m1 in r1.normal_orders for m2 in r2.normal_orders]
     return report_from_orders(f"{r1.label}x{r2.label}", r1.order * r2.order, orders)

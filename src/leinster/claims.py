@@ -8,6 +8,7 @@ iteration orders are fixed so repeated runs produce identical reports.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -24,6 +25,7 @@ from .analysis import (
 )
 from .errors import CapacityError, InputError
 from .groups import (
+    TABLE_CAP,
     GroupTable,
     center,
     derived_subgroup,
@@ -80,68 +82,6 @@ def _timed(fn: Callable[[], ClaimResult]) -> ClaimResult:
 
 
 # ---------------------------------------------------------------------------
-# Result cache
-# ---------------------------------------------------------------------------
-
-class ResultCache:
-    """JSON-lines cache of engine analyses, keyed by the exact spec label."""
-
-    def __init__(self, path=None):
-        import json
-        from pathlib import Path
-
-        self.path = Path(path) if path else None
-        self.entries: dict[str, LeinsterReport] = {}
-        self.fresh: list[str] = []
-        self.skipped_lines = 0
-        if self.path and self.path.exists():
-            for line in self.path.read_text().splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                    self.entries[rec["spec"]] = LeinsterReport.from_json(rec["report"])
-                except (ValueError, KeyError, TypeError):
-                    self.skipped_lines += 1
-
-    def get(self, spec_label: str) -> LeinsterReport | None:
-        return self.entries.get(spec_label)
-
-    def put(self, spec_label: str, report: LeinsterReport) -> None:
-        if spec_label not in self.entries:
-            self.entries[spec_label] = report
-            self.fresh.append(spec_label)
-
-    def flush(self) -> None:
-        import json
-
-        if self.path is None or not self.fresh:
-            return
-        with self.path.open("a") as fh:
-            for spec_label in self.fresh:
-                fh.write(
-                    json.dumps(
-                        {"spec": spec_label, "report": self.entries[spec_label].to_json()},
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-        self.fresh = []
-
-
-def _analyze_spec_cached(label: str, cache: ResultCache | None) -> LeinsterReport:
-    if cache is not None:
-        hit = cache.get(label)
-        if hit is not None:
-            return hit
-    rep = analyze(constructors.build(constructors.parse_spec(label)))
-    if cache is not None:
-        cache.put(label, rep)
-    return rep
-
-
-# ---------------------------------------------------------------------------
 # The constructible universe for the census
 # ---------------------------------------------------------------------------
 
@@ -182,10 +122,12 @@ def _split_metacyclic_specs(bound: int) -> list[tuple[int, int, int]]:
 
 
 def _fingerprint(rep: LeinsterReport) -> tuple:
-    return (rep.order, rep.normal_orders)
+    # the (order, normal orders) pair: the whole group is its largest normal
+    # subgroup, so the sorted orders end in the order and determine it
+    return rep.normal_orders
 
 
-def census_universe(bound: int, cache: ResultCache | None = None) -> list[LeinsterReport]:
+def census_universe(bound: int) -> list[LeinsterReport]:
     """Deterministic, duplicate-free reports for every constructible group of
     order <= bound: cyclic, dihedral, dicyclic, named, squarefree, split
     metacyclic, and pairwise coprime products of all of these."""
@@ -217,7 +159,7 @@ def census_universe(bound: int, cache: ResultCache | None = None) -> list[Leinst
         offer(2, report_from_orders(f"Dic{m}", 4 * m, dicyclic_normal_orders(m)))
 
     for label in NAMED_FAMILY_LABELS:
-        rep = _analyze_spec_cached(label, cache)
+        rep = analyze(constructors.build(constructors.parse_spec(label)))
         if rep.order <= bound:
             offer(3, rep)
 
@@ -231,18 +173,27 @@ def census_universe(bound: int, cache: ResultCache | None = None) -> list[Leinst
 
     # pairwise coprime products (cyclic factors go last in the label); these
     # rank above the squarefree and raw split-metacyclic labels so that e.g.
-    # the Dic7xC13 name wins over an isomorphic SD(...) presentation
-    dedup_base = survivors()
-    for i in range(len(dedup_base)):
-        for j in range(i + 1, len(dedup_base)):
-            r1, r2 = dedup_base[i], dedup_base[j]
-            if r1.order * r2.order > bound:
-                break  # dedup_base is sorted by order
-            if math.gcd(r1.order, r2.order) != 1:
+    # the Dic7xC13 name wins over an isomorphic SD(...) presentation.  The
+    # winner of each fingerprint does not depend on the offer order, so the
+    # pairs are formed per coprime pair of orders.
+    by_order: dict[int, list[LeinsterReport]] = {}
+    for rep in survivors():
+        by_order.setdefault(rep.order, []).append(rep)
+    orders = list(by_order)  # ascending
+    for i, o1 in enumerate(orders):
+        if o1 * o1 > bound:
+            break  # every later order pairs only with larger ones
+        for o2 in orders[i + 1 :]:
+            if o1 * o2 > bound:
+                break
+            if math.gcd(o1, o2) != 1:
                 continue
-            if _is_cyclic_report(r1) and not _is_cyclic_report(r2):
-                r1, r2 = r2, r1
-            offer(5, analyze_coprime_product(r1, r2))
+            for r1 in by_order[o1]:
+                for r2 in by_order[o2]:
+                    if _is_cyclic_report(r1) and not _is_cyclic_report(r2):
+                        offer(5, analyze_coprime_product(r2, r1))
+                    else:
+                        offer(5, analyze_coprime_product(r1, r2))
 
     return survivors()
 
@@ -251,10 +202,20 @@ def _is_cyclic_report(rep: LeinsterReport) -> bool:
     return rep.label.startswith("C") and rep.label[1:].isdigit()
 
 
-def cmd_census(bound: int, cache: ResultCache | None = None) -> ClaimResult:
+def _engine_agrees(rep: LeinsterReport) -> bool:
+    """Rebuild the group from its label and compare the engine's normal
+    orders with the structural ones; an unparseable label disagrees."""
+    try:
+        G = constructors.build(constructors.parse_spec(rep.label))
+    except InputError:
+        return False
+    return analyze(G).normal_orders == rep.normal_orders
+
+
+def cmd_census(bound: int) -> ClaimResult:
     def run() -> ClaimResult:
         try:
-            universe = census_universe(bound, cache)
+            universe = census_universe(bound)
         except CapacityError as exc:
             return ClaimResult(
                 claim_id=f"census-{bound}",
@@ -269,6 +230,10 @@ def cmd_census(bound: int, cache: ResultCache | None = None) -> ClaimResult:
             if is_squarefree(n) and len(enumerate_squarefree(n)) != holder_count(n)
         ]
         hits = [r for r in universe if r.is_leinster]
+        # every hit small enough for a Cayley table is re-checked on the engine
+        engine_mismatch = [
+            r.label for r in hits if r.order <= TABLE_CAP and not _engine_agrees(r)
+        ]
         p3q_hits = [
             r.label
             for r in hits
@@ -287,9 +252,11 @@ def cmd_census(bound: int, cache: ResultCache | None = None) -> ClaimResult:
         }
         if holder_mismatch:
             evidence["holder_mismatch"] = holder_mismatch
+        if engine_mismatch:
+            evidence["engine_mismatch"] = engine_mismatch
         return ClaimResult(
             claim_id=f"census-{bound}",
-            status="partial" if holder_mismatch else "verified",
+            status="partial" if holder_mismatch or engine_mismatch else "verified",
             statement="list all groups with sigma = 2|G| in the constructible universe",
             evidence=evidence,
         )
@@ -348,7 +315,7 @@ def cmd_verify_pqrs(bound: int, jobs: int = 1) -> ClaimResult:
         if jobs > 1 and len(orders) > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
                 per_order = list(pool.map(analyze_pqrs_order, orders))
         else:
             per_order = [analyze_pqrs_order(n) for n in orders]
@@ -790,13 +757,11 @@ def claim_bound(bound_id: str) -> ClaimResult:
     return _timed(run)
 
 
-def cmd_verify_theorems(
-    corpus_bound: int = 200, cache: ResultCache | None = None
-) -> list[ClaimResult]:
+def cmd_verify_theorems(corpus_bound: int = 200) -> list[ClaimResult]:
     """Run every registered claim: theorem property suites over the corpus,
     the equation scanners, and the fraction bounds."""
     corpus = corpus_groups(corpus_bound)
-    census = cmd_census(400, cache)
+    census = cmd_census(400)
     hits = [LeinsterReport.from_json(h) for h in census.evidence["hits"]]
     results = [
         claim_multiplicativity(corpus),

@@ -14,7 +14,6 @@ import sys
 
 from . import __version__
 from .claims import (
-    ResultCache,
     cmd_census,
     cmd_verify_p2qr,
     cmd_verify_pqrs,
@@ -27,8 +26,6 @@ from .errors import CapacityError, InputError
 def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("json", "text"), default="text")
     sub.add_argument("--out", metavar="FILE", default=None)
-    sub.add_argument("--cache", metavar="FILE", default=None)
-    sub.add_argument("--no-cache", action="store_true")
     sub.add_argument("--jobs", type=int, default=1, metavar="K")
 
 
@@ -114,32 +111,20 @@ def main(argv: list[str] | None = None) -> int:
             _emit("\n".join(list_claim_ids()) + "\n", args.out)
         return 0
 
-    cache = None
-    if args.cache and not args.no_cache:
-        cache = ResultCache(args.cache)
-        if cache.skipped_lines:
-            print(
-                f"warning: skipped {cache.skipped_lines} corrupt cache line(s)",
-                file=sys.stderr,
-            )
-
     try:
         if args.command == "census":
-            claims = [cmd_census(args.bound, cache)]
+            claims = [cmd_census(args.bound)]
         elif args.command == "pqrs":
             claims = [cmd_verify_pqrs(args.bound, jobs=args.jobs)]
         elif args.command == "p2qr":
             claims = [cmd_verify_p2qr(args.prime_bound)]
         elif args.command == "theorems":
-            claims = cmd_verify_theorems(args.corpus_bound, cache)
+            claims = cmd_verify_theorems(args.corpus_bound)
         else:  # pragma: no cover - argparse enforces the choices
             parser.error(f"unknown command {args.command}")
     except (InputError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if cache is not None:
-        cache.flush()
 
     _emit(_render(claims, args.format), args.out)
     if all(c.status == "verified" for c in claims):

@@ -214,14 +214,17 @@ def _semidirect_group(a: int, b: int, t: int, label: str) -> GroupTable:
     tpow = [1 % a]
     for _ in range(b - 1):
         tpow.append(tpow[-1] * t % a)
-    tp = np.array(tpow, dtype=np.int64)
+    tp = np.array(tpow, dtype=np.int32)
 
     def build():
-        ids = np.arange(n, dtype=np.int64)
+        # the x-part of a product depends only on (row, column's i) and the
+        # y-part only on (row, column's j), so the one n x n array allocated
+        # is the int32 result (entries stay below a^2 <= TABLE_CAP^2)
+        ids = np.arange(n, dtype=np.int32)
         i, j = ids // b, ids % b
-        x = (i[:, None] + i[None, :] * tp[j][:, None]) % a
-        y = (j[:, None] + j[None, :]) % b
-        return x * b + y
+        x = (i[:, None] + tp[j][:, None] * np.arange(a, dtype=np.int32)) % a
+        y = (j[:, None] + np.arange(b, dtype=np.int32)) % b
+        return (x[:, :, None] * b + y[:, None, :]).reshape(n, n)
 
     def mul_fn(p, q):
         i, j = divmod(p, b)

@@ -204,9 +204,9 @@ def split_metacyclic_normal_orders(a: int, b: int, t: int) -> list[int]:
         e = b // f
         te = pow(t, e, a)
         g = a if te == 1 % a else math.gcd(a, te - 1)
-        for d in divisors(g):
-            orders.append((a // d) * f)
-    return sorted(orders)
+        orders += [a // d * f for d in divisors(g)]
+    orders.sort()
+    return orders
 
 
 def descriptor_normal_orders(desc: MetacyclicDescriptor) -> list[int]:

@@ -7,7 +7,6 @@ from conftest import split_metacyclic_specs_bruteforce
 from leinster import claims
 from leinster.claims import (
     EQUATION_CLAIMS,
-    ResultCache,
     _split_metacyclic_specs,
     census_universe,
     claim_bound,
@@ -22,6 +21,7 @@ from leinster.claims import (
     p2qr_candidates,
     pqrs_orders,
 )
+from leinster.analysis import LeinsterReport
 from leinster.errors import InputError
 from leinster.numtheory import BOUNDS
 
@@ -46,16 +46,6 @@ class TestCensus:
     def test_rejects_bad_bound(self):
         with pytest.raises(InputError):
             census_universe(0)
-
-    def test_cache_round_trip(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        cache = ResultCache(path)
-        first = cmd_census(60, cache)
-        cache.flush()
-        assert path.exists() and path.read_text().count("\n") > 0
-        reloaded = ResultCache(path)
-        second = cmd_census(60, reloaded)
-        assert second.evidence["hits"] == first.evidence["hits"]
 
     def test_larger_hits_confirmed_by_engine(self):
         # the census bound 2000 finds hits at orders 760 and 992 via the
@@ -83,12 +73,41 @@ class TestCensus:
         assert res.status == "partial"
         assert res.evidence["holder_mismatch"] == [42]
 
-    def test_cache_skips_corrupt_lines(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        path.write_text('{"spec": "C6"}\nnot json at all\n')
-        cache = ResultCache(path)
-        assert cache.skipped_lines == 2
-        assert cmd_census(30, cache).status == "verified"
+    def test_engine_mismatch_makes_census_partial(self, monkeypatch):
+        assert "engine_mismatch" not in cmd_census(100).evidence
+        real = claims.census_universe
+
+        def tampered(bound):
+            # SD(7,8,6) with one normal order moved: still a hit (sigma
+            # unchanged), but no longer what the engine computes
+            out = []
+            for r in real(bound):
+                if r.label == "SD(7,8,6)":
+                    orders = list(r.normal_orders)
+                    orders[1] -= 1
+                    orders[2] += 1
+                    r = LeinsterReport(r.label, r.order, tuple(orders))
+                out.append(r)
+            return out
+
+        monkeypatch.setattr(claims, "census_universe", tampered)
+        res = cmd_census(100)
+        assert res.status == "partial"
+        assert res.evidence["engine_mismatch"] == ["SD(7,8,6)"]
+
+    def test_unparseable_hit_label_makes_census_partial(self, monkeypatch):
+        real = claims.census_universe
+        monkeypatch.setattr(
+            claims,
+            "census_universe",
+            lambda bound: [
+                LeinsterReport("C6?", r.order, r.normal_orders) if r.label == "C6" else r
+                for r in real(bound)
+            ],
+        )
+        res = cmd_census(30)
+        assert res.status == "partial"
+        assert res.evidence["engine_mismatch"] == ["C6?"]
 
 
 class TestPqrs:
@@ -116,6 +135,31 @@ class TestPqrs:
         assert all(d["count_matches"] for d in per)
         assert all(d["engine_validated"] for d in per)  # all orders <= 600 here
         assert all(8 <= 2 ** 4 and d["tau_min"] >= 2 for d in per)
+
+    @pytest.mark.parametrize("jobs,cpus,workers", [(64, 2, 2), (3, 8, 3), (4, None, 1)])
+    def test_jobs_clamped_to_cpu_count(self, jobs, cpus, workers, monkeypatch):
+        # a stand-in pool records max_workers and maps in this process
+        import concurrent.futures
+
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(claims.os, "cpu_count", lambda: cpus)
+        assert cmd_verify_pqrs(500, jobs=jobs).status == "verified"
+        assert seen == [workers]
 
     def test_jobs_match_serial(self):
         serial = cmd_verify_pqrs(400)

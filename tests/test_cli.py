@@ -54,6 +54,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "flag", [["--cache", "c.jsonl"], ["--no-cache"]], ids=["cache", "no-cache"]
+    )
+    def test_removed_cache_flags_are_usage_errors(self, flag, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["census", "--bound", "40", *flag]) == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_capacity_overflow_reports_partial(self, capsys):
         # the census catches the capacity error and reports a partial claim
         assert main(["census", "--bound", "50000"]) == 1
@@ -84,26 +95,6 @@ class TestJsonReport:
         _, a = run_json(["p2qr", "--prime-bound", "13"], tmp_path, "a.json")
         _, b = run_json(["p2qr", "--prime-bound", "13"], tmp_path, "b.json")
         assert a == b
-
-
-class TestCacheFlag:
-    def test_cache_reuse_is_identical(self, tmp_path):
-        cache = tmp_path / "c.jsonl"
-        _, cold = run_json(["census", "--bound", "80", "--cache", str(cache)], tmp_path, "a.json")
-        assert cache.exists()
-        _, warm = run_json(["census", "--bound", "80", "--cache", str(cache)], tmp_path, "b.json")
-        _, bypass = run_json(
-            ["census", "--bound", "80", "--cache", str(cache), "--no-cache"],
-            tmp_path,
-            "c.json",
-        )
-        assert cold == warm == bypass
-
-    def test_corrupt_cache_warns_and_continues(self, tmp_path, capsys):
-        cache = tmp_path / "c.jsonl"
-        cache.write_text("garbage\n")
-        assert main(["census", "--bound", "30", "--cache", str(cache)]) == 0
-        assert "corrupt cache" in capsys.readouterr().err
 
 
 class TestOtherCommands:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from leinster import constructors as con
@@ -70,6 +71,18 @@ class TestBuilders:
         x, y = 3, 1  # id = i*b + j
         lhs = G.mul(G.mul(y, x), G.inv(y))
         assert lhs == 2 * 3  # x^2
+
+    @pytest.mark.parametrize(
+        "a,b,t", [(7, 8, 6), (31, 64, 30), (1021, 2, 1020), (2039, 1, 1), (1, 5, 0)]
+    )
+    def test_semidirect_table_matches_presentation(self, a, b, t):
+        # int64 reference from x^i y^j * x^k y^l = x^(i + k t^j) y^(j + l), up
+        # to orders near the table cap, where an int32 build would overflow first
+        n = a * b
+        i, j = np.divmod(np.arange(n, dtype=np.int64), b)
+        tp = np.array([pow(t, e, a) for e in range(b)], dtype=np.int64)
+        ref = ((i[:, None] + i[None, :] * tp[j][:, None]) % a) * b + (j[:, None] + j[None, :]) % b
+        assert np.array_equal(con.build(con.semidirect(a, b, t)).table, ref)
 
     def test_perm_group(self):
         G = con.perm_group([(1, 2, 3, 0)], label="C4p")

@@ -10,9 +10,12 @@ from conftest import (
     twist_classes_bruteforce,
 )
 
+from leinster import constructors
 from leinster.analysis import analyze
+from leinster.claims import corpus_groups
 from leinster.errors import InputError
-from leinster.numtheory import is_squarefree
+from leinster.groups import normal_subgroups
+from leinster.numtheory import divisors, is_squarefree
 from leinster.squarefree import (
     MetacyclicDescriptor,
     canonical_twist,
@@ -149,6 +152,48 @@ class TestStructuralNormalOrders:
         # C7 x| C8 acting through the order-2 quotient: t = 6, t^2 = 1 mod 7
         orders = split_metacyclic_normal_orders(7, 8, 6)
         assert sum(orders) == 2 * 56
+
+
+@st.composite
+def twisted_pairs(draw):
+    """(a, b, t) with gcd(a, b) = 1, t^b = 1 mod a and a * b <= 300; t runs
+    over every solution, so unfaithful twists and t = 1 are drawn too."""
+    a = draw(st.integers(1, 150))
+    b = draw(st.integers(1, 300 // a).filter(lambda b: math.gcd(a, b) == 1))
+    twists = [t for t in range(a) if math.gcd(t, a) == 1 and pow(t, b, a) == 1 % a]
+    t = draw(st.sampled_from(twists))
+    return a, b, t
+
+
+class TestDerivedOracles:
+    @given(twisted_pairs())
+    @example((7, 8, 6))  # C8 acting on C7 through its quotient of order 2
+    @example((13, 12, 1))  # trivial twist: the cyclic group C156
+    @example((1, 7, 0))
+    @settings(max_examples=150, deadline=None)
+    def test_structural_orders_match_engine(self, abt):
+        a, b, t = abt
+        engine = analyze(constructors.build(constructors.semidirect(a, b, t)))
+        assert split_metacyclic_normal_orders(a, b, t) == list(engine.normal_orders)
+
+    def test_derived_report_fields_match_normal_subgroups(self):
+        for G in corpus_groups(120):
+            sizes = [N.size for N in normal_subgroups(G)]
+            r = analyze(G)
+            assert r.sigma == sum(sizes), G.label
+            assert r.tau == len(sizes), G.label
+            assert r.odd_normal_count == sum(1 for m in sizes if m % 2 == 1), G.label
+            assert r.is_leinster == (sum(sizes) == 2 * G.order), G.label
+
+    @given(st.integers(1, 10**6))
+    @settings(max_examples=100, deadline=None)
+    def test_divisors_returns_a_fresh_list(self, n):
+        first = divisors(n)
+        expected = list(first)
+        first.append(0)
+        first.reverse()
+        assert divisors(n) == expected
+        assert divisors(n) is not divisors(n)
 
 
 def test_realize_labels():
