@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .groups import DEFAULT_ORDER_CAP, TABLE_CAP, GroupTable, check_capacity, direct_product
+from .groups import TABLE_CAP, GroupTable, check_capacity, direct_product
 
 # Named permutation-generator specs; A4 and S3 show up in the candidate case
 # analyses and are aliased here rather than given bespoke code paths.
@@ -95,28 +95,19 @@ def product(specs: Sequence[GroupSpec]) -> GroupSpec:
 # Table builders (canonical element indexing per family)
 # ---------------------------------------------------------------------------
 
-def _table_or_lazy(order: int, build_table, mul_fn, label: str) -> GroupTable:
-    check_capacity(order)
-    if order <= TABLE_CAP:
-        return GroupTable(order, table=build_table(), label=label)
-    return GroupTable(order, mul_fn=mul_fn, label=label)
-
-
 def _cyclic_group(n: int, label: str) -> GroupTable:
     if n < 1:
         raise InputError(f"cyclic order must be >= 1, got {n}")
-
-    def build():
-        ids = np.arange(n, dtype=np.int64)
-        return (ids[:, None] + ids[None, :]) % n
-
-    return _table_or_lazy(n, build, lambda a, b: (a + b) % n, label)
+    check_capacity(n)
+    ids = np.arange(n, dtype=np.int64)
+    return GroupTable(n, (ids[:, None] + ids[None, :]) % n, label)
 
 
 def _abelian_group(orders: tuple[int, ...], label: str) -> GroupTable:
     if not orders or any(m < 1 for m in orders):
         raise InputError(f"bad abelian component orders {orders}")
     n = math.prod(orders)
+    check_capacity(n)
 
     def coords(idx: np.ndarray) -> list[np.ndarray]:
         out = []
@@ -126,27 +117,12 @@ def _abelian_group(orders: tuple[int, ...], label: str) -> GroupTable:
             rest = rest // m
         return out[::-1]
 
-    def build():
-        ids = np.arange(n, dtype=np.int64)
-        ca, cb = coords(ids[:, None]), coords(ids[None, :])
-        total = np.zeros((n, n), dtype=np.int64)
-        for m, xa, xb in zip(orders, ca, cb):
-            total = total * m + (xa + xb) % m
-        return total
-
-    def mul_fn(a, b):
-        out = 0
-        ra, rb = a, b
-        parts = []
-        for m in reversed(orders):
-            parts.append(((ra % m) + (rb % m)) % m)
-            ra //= m
-            rb //= m
-        for m, v in zip(orders, parts[::-1]):
-            out = out * m + v
-        return out
-
-    return _table_or_lazy(n, build, mul_fn, label)
+    ids = np.arange(n, dtype=np.int64)
+    ca, cb = coords(ids[:, None]), coords(ids[None, :])
+    total = np.zeros((n, n), dtype=np.int64)
+    for m, xa, xb in zip(orders, ca, cb):
+        total = total * m + (xa + xb) % m
+    return GroupTable(n, total, label)
 
 
 def _dihedral_group(m: int, label: str) -> GroupTable:
@@ -154,20 +130,12 @@ def _dihedral_group(m: int, label: str) -> GroupTable:
     if m < 1:
         raise InputError(f"dihedral parameter must be >= 1, got {m}")
     n = 2 * m
-
-    def build():
-        ids = np.arange(n, dtype=np.int64)
-        r, f = ids >> 1, ids & 1
-        rot = np.where(f[:, None] == 0, r[:, None] + r[None, :], r[:, None] - r[None, :]) % m
-        flip = f[:, None] ^ f[None, :]
-        return rot * 2 + flip
-
-    def mul_fn(a, b):
-        ra, fa, rb, fb = a >> 1, a & 1, b >> 1, b & 1
-        rot = (ra + rb) % m if fa == 0 else (ra - rb) % m
-        return rot * 2 + (fa ^ fb)
-
-    return _table_or_lazy(n, build, mul_fn, label)
+    check_capacity(n)
+    ids = np.arange(n, dtype=np.int64)
+    r, f = ids >> 1, ids & 1
+    rot = np.where(f[:, None] == 0, r[:, None] + r[None, :], r[:, None] - r[None, :]) % m
+    flip = f[:, None] ^ f[None, :]
+    return GroupTable(n, rot * 2 + flip, label)
 
 
 def _dicyclic_group(m: int, label: str) -> GroupTable:
@@ -176,26 +144,14 @@ def _dicyclic_group(m: int, label: str) -> GroupTable:
     if m < 2:
         raise InputError(f"dicyclic parameter must be >= 2, got {m}")
     n = 4 * m
-    mm = 2 * m
-
-    def build():
-        ids = np.arange(n, dtype=np.int64)
-        r, e = ids >> 1, ids & 1
-        rr, er = r[:, None], e[:, None]
-        rc, ec = r[None, :], e[None, :]
-        rot = np.where(er == 0, rr + rc, rr - rc + np.where(ec == 1, m, 0)) % mm
-        flip = er ^ ec
-        return rot * 2 + flip
-
-    def mul_fn(a, b):
-        ra, ea, rb, eb = a >> 1, a & 1, b >> 1, b & 1
-        if ea == 0:
-            rot = (ra + rb) % mm
-        else:
-            rot = (ra - rb + (m if eb == 1 else 0)) % mm
-        return rot * 2 + (ea ^ eb)
-
-    return _table_or_lazy(n, build, mul_fn, label)
+    check_capacity(n)
+    ids = np.arange(n, dtype=np.int64)
+    r, e = ids >> 1, ids & 1
+    rr, er = r[:, None], e[:, None]
+    rc, ec = r[None, :], e[None, :]
+    rot = np.where(er == 0, rr + rc, rr - rc + np.where(ec == 1, m, 0)) % (2 * m)
+    flip = er ^ ec
+    return GroupTable(n, rot * 2 + flip, label)
 
 
 def _semidirect_group(a: int, b: int, t: int, label: str) -> GroupTable:
@@ -211,27 +167,19 @@ def _semidirect_group(a: int, b: int, t: int, label: str) -> GroupTable:
     if pow(t, b, a) != 1 % a:
         raise InputError(f"twist {t} does not satisfy t^{b} = 1 mod {a}")
     n = a * b
+    check_capacity(n)
     tpow = [1 % a]
     for _ in range(b - 1):
         tpow.append(tpow[-1] * t % a)
     tp = np.array(tpow, dtype=np.int32)
-
-    def build():
-        # the x-part of a product depends only on (row, column's i) and the
-        # y-part only on (row, column's j), so the one n x n array allocated
-        # is the int32 result (entries stay below a^2 <= TABLE_CAP^2)
-        ids = np.arange(n, dtype=np.int32)
-        i, j = ids // b, ids % b
-        x = (i[:, None] + tp[j][:, None] * np.arange(a, dtype=np.int32)) % a
-        y = (j[:, None] + np.arange(b, dtype=np.int32)) % b
-        return (x[:, :, None] * b + y[:, None, :]).reshape(n, n)
-
-    def mul_fn(p, q):
-        i, j = divmod(p, b)
-        k, l = divmod(q, b)
-        return ((i + k * tpow[j]) % a) * b + (j + l) % b
-
-    return _table_or_lazy(n, build, mul_fn, label)
+    # the x-part of a product depends only on (row, column's i) and the
+    # y-part only on (row, column's j), so the one n x n array allocated
+    # is the int32 result (entries stay below a^2 <= TABLE_CAP^2)
+    ids = np.arange(n, dtype=np.int32)
+    i, j = ids // b, ids % b
+    x = (i[:, None] + tp[j][:, None] * np.arange(a, dtype=np.int32)) % a
+    y = (j[:, None] + np.arange(b, dtype=np.int32)) % b
+    return GroupTable(n, (x[:, :, None] * b + y[:, None, :]).reshape(n, n), label)
 
 
 def perm_group(generators: Sequence[Sequence[int]], label: str = "") -> GroupTable:
@@ -259,7 +207,7 @@ def perm_group(generators: Sequence[Sequence[int]], label: str = "") -> GroupTab
         for g in gens:
             q = tuple(p[g[i]] for i in range(d))
             if q not in elems:
-                if len(elems) >= DEFAULT_ORDER_CAP:
+                if len(elems) >= TABLE_CAP:
                     raise CapacityError("permutation closure exceeds engine capacity")
                 elems.add(q)
                 work.append(q)

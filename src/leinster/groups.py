@@ -1,94 +1,51 @@
 """Explicit finite-group engine.
 
-Groups are tables of element ids 0..order-1.  Multiplication is either a
-cached full Cayley table (orders up to TABLE_CAP) or an on-demand composition
-function above that; both paths must agree wherever they overlap.  All
-operations are pure and iterate element ids in ascending order, so every
-result is deterministic.
+Groups are dense Cayley tables on element ids 0..order-1, up to TABLE_CAP
+elements; building a larger group is a clean CapacityError.  All operations
+are pure and iterate element ids in ascending order, so every result is
+deterministic.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, InputError
+from .numtheory import prime_factors
 
-TABLE_CAP = 2048          # largest order for which the full table is cached
-DEFAULT_ORDER_CAP = 20000  # hard engine capacity; beyond this is a clean error
+TABLE_CAP = 2048  # engine capacity: the largest order with a Cayley table
 
 
-def check_capacity(order: int, cap: int = DEFAULT_ORDER_CAP) -> None:
-    if order > cap:
-        raise CapacityError(f"group order {order} exceeds engine capacity {cap}")
+def check_capacity(order: int) -> None:
+    if order > TABLE_CAP:
+        raise CapacityError(f"group order {order} exceeds engine capacity {TABLE_CAP}")
 
 
 class GroupTable:
     """An explicit finite group on element ids 0..order-1."""
 
-    def __init__(
-        self,
-        order: int,
-        table: np.ndarray | None = None,
-        mul_fn: Callable[[int, int], int] | None = None,
-        label: str = "",
-    ):
+    def __init__(self, order: int, table: np.ndarray, label: str = ""):
         if order < 1:
             raise InputError(f"group order must be positive, got {order}")
         check_capacity(order)
-        if table is None and mul_fn is None:
-            raise InputError("need a Cayley table or a multiplication function")
+        table = np.asarray(table)
+        if table.shape != (order, order):
+            raise InputError("Cayley table shape does not match order")
         self.order = order
         self.label = label
-        if table is not None:
-            table = np.asarray(table)
-            if table.shape != (order, order):
-                raise InputError("Cayley table shape does not match order")
-            self._table = table.astype(np.int32, copy=False)
-            self._mul_fn = None
-        else:
-            self._table = None
-            self._mul_fn = mul_fn
-            self._memo: dict[tuple[int, int], int] = {}
+        self.table = table.astype(np.int32, copy=False)
         self._identity: int | None = None
         self._inv: np.ndarray | None = None
 
     # -- multiplication ----------------------------------------------------
 
-    @property
-    def has_table(self) -> bool:
-        return self._table is not None
-
-    @property
-    def table(self) -> np.ndarray:
-        """Full Cayley table; materialized on demand for orders <= TABLE_CAP."""
-        if self._table is None:
-            if self.order > TABLE_CAP:
-                raise CapacityError(
-                    f"order {self.order} exceeds the cached-table cap {TABLE_CAP}"
-                )
-            n = self.order
-            t = np.empty((n, n), dtype=np.int32)
-            for a in range(n):
-                for b in range(n):
-                    t[a, b] = self._mul_fn(a, b)
-            self._table = t
-        return self._table
-
     def mul(self, a: int, b: int) -> int:
         self._check_id(a)
         self._check_id(b)
-        if self._table is not None:
-            return int(self._table[a, b])
-        key = (a, b)
-        v = self._memo.get(key)
-        if v is None:
-            v = self._memo[key] = int(self._mul_fn(a, b))
-        return v
+        return int(self.table[a, b])
 
     def _check_id(self, g: int) -> None:
         if not 0 <= g < self.order:
@@ -111,18 +68,9 @@ class GroupTable:
     @property
     def inv_array(self) -> np.ndarray:
         if self._inv is None:
-            e = self.identity
             inv = np.full(self.order, -1, dtype=np.int32)
-            if self.has_table or self.order <= TABLE_CAP:
-                t = self.table
-                rows, cols = np.nonzero(t == e)
-                inv[rows] = cols
-            else:
-                for g in range(self.order):
-                    for h in range(self.order):
-                        if self.mul(g, h) == e:
-                            inv[g] = h
-                            break
+            rows, cols = np.nonzero(self.table == self.identity)
+            inv[rows] = cols
             if (inv < 0).any():
                 raise InputError("missing inverses; not a group table")
             self._inv = inv
@@ -217,35 +165,23 @@ def element_set(G: GroupTable, ids: Iterable[int], subgroup: bool = False) -> El
 def _closure_ids(G: GroupTable, gens: Sequence[int]) -> np.ndarray:
     """Ids of the smallest subgroup containing gens, ascending."""
     n = G.order
-    e = G.identity
+    t = G.table
     member = np.zeros(n, dtype=bool)
-    member[e] = True
+    member[G.identity] = True
     member[np.asarray(list(gens), dtype=np.int64)] = True
-    frontier = np.flatnonzero(member)
-    if G.has_table or n <= TABLE_CAP:
-        t = G.table
-        current = np.flatnonzero(member)
-        while True:
-            # close by squaring: the member count at least doubles per round
-            # until the fixpoint, so the loop is logarithmic in the result
-            member[t[current[:, None], current[None, :]].ravel()] = True
-            new_current = np.flatnonzero(member)
-            if new_current.size == current.size:
-                break
-            current = new_current
-    else:
-        mem = set(int(i) for i in np.flatnonzero(member))
-        work = list(mem)
-        while work:
-            g = work.pop()
-            for h in sorted(mem):
-                for p in (G.mul(g, h), G.mul(h, g)):
-                    if p not in mem:
-                        mem.add(p)
-                        work.append(p)
-        member[:] = False
-        member[list(mem)] = True
-    return np.flatnonzero(member)
+    # a proper subgroup has at most n // p elements, p the smallest prime
+    # dividing n (Lagrange), so a larger set generates G
+    cap = n // min(prime_factors(n), default=1)
+    current = np.flatnonzero(member)
+    while current.size <= cap:
+        # close by squaring: the member count at least doubles per round
+        # until the fixpoint, so the loop is logarithmic in the result
+        member[t[current[:, None], current[None, :]].ravel()] = True
+        new_current = np.flatnonzero(member)
+        if new_current.size == current.size:
+            return current
+        current = new_current
+    return np.arange(n)
 
 
 def subgroup_closure(G: GroupTable, gens: ElementSet | Iterable[int]) -> ElementSet:
@@ -318,23 +254,25 @@ def _mask_bytes(ids: np.ndarray, n: int) -> bytes:
 
 
 def normal_subgroups(G: GroupTable) -> list[ElementSet]:
-    """Complete duplicate-free list of normal subgroups.
+    """Complete duplicate-free list of normal subgroups, sorted by (size, ids).
 
-    Normal closures of the conjugacy classes are closed under pairwise join
-    (subgroup generated by the union) until fixpoint; every normal subgroup
-    is the join of the closures of the classes it contains.  Classes whose
-    members generate conjugate cyclic subgroups share one normal closure, so
-    one closure is computed per conjugacy class of nontrivial cyclic
-    subgroups.
+    Every normal subgroup is the join of the normal closures of its
+    elements.  One normal closure is computed per conjugacy class of
+    nontrivial cyclic subgroups (conjugate generators of conjugate cyclic
+    subgroups share one), and each stops as soon as it outgrows every proper
+    subgroup (Lagrange; see _closure_ids).  The lattice is {1}, G, these
+    seed closures, and every join of a found subgroup with one more proper
+    seed closure, to fixpoint.  The join of normal subgroups A and S is the
+    product set AS of |A||S|/|A & S| elements, so it is not formed when S
+    lies inside A or when that count is |G|.
     """
     n = G.order
     t = G.table
     inv = G.inv_array
     e = G.identity
     found: dict[bytes, np.ndarray] = {}
-
-    triv = np.array([e], dtype=np.int64)
-    found[_mask_bytes(triv, n)] = triv
+    for ids in (np.array([e], dtype=np.int64), np.arange(n)):
+        found.setdefault(_mask_bytes(ids, n), ids)
 
     # One normal-closure seed per conjugacy class of cyclic subgroups: the
     # normal closure of g is the closure of its conjugacy class, and every
@@ -345,35 +283,38 @@ def normal_subgroups(G: GroupTable) -> list[ElementSet]:
     for g in range(n):
         if covered[g]:
             continue
-        cls = np.unique(t[t[:, g], inv])
+        # conj[x] = x g x^-1; keep one conjugator x per class member
+        cls, conjugators = np.unique(t[t[:, g], inv], return_index=True)
         ids = _closure_ids(G, cls)
         found.setdefault(_mask_bytes(ids, n), ids)
-        # powers[k - 1] holds the k-th powers of every class member at once
-        powers = [cls]
-        while powers[-1][0] != e:
-            powers.append(t[powers[-1], cls])
-        m = len(powers)
-        for k in range(1, m):
-            if math.gcd(k, m) == 1:
-                covered[powers[k - 1]] = True
+        # powers[k - 1] = g^k, doubled until the block holds the identity
+        powers = np.array([g])
+        while not (powers == e).any():
+            powers = np.concatenate([powers, t[powers, powers[-1]]])
+        m = int(np.flatnonzero(powers == e)[0]) + 1
+        gens = powers[:m][np.gcd(np.arange(1, m + 1), m) == 1]
+        covered[t[t[conjugators[:, None], gens[None, :]], inv[conjugators, None]]] = True
 
-    work = list(found.values())
+    seeds = [ids for ids in found.values() if 1 < ids.size < n]
+    work = list(seeds)
     while work:
         a = work.pop()
-        for b in list(found.values()):
-            if len(a) == n or len(b) == n:
-                continue
-            # the join of two normal subgroups is their elementwise product set
-            mask = np.zeros(n, dtype=bool)
-            mask[t[a[:, None], b[None, :]].ravel()] = True
+        in_a = np.zeros(n, dtype=bool)
+        in_a[a] = True
+        for s in seeds:
+            common = int(in_a[s].sum())
+            if common == s.size or a.size * s.size == n * common:
+                continue  # AS is A, or AS is G
+            mask = in_a.copy()
+            mask[t[a[:, None], s[~in_a[s]][None, :]].ravel()] = True
             joined = np.flatnonzero(mask)
             key = _mask_bytes(joined, n)
             if key not in found:
                 found[key] = joined
                 work.append(joined)
-    subs = [element_set(G, ids, subgroup=True) for ids in found.values()]
-    subs.sort(key=lambda s: (s.size, s.to_ids()))
-    return subs
+    # every id array is ascending, so it is the ElementSet's to_ids()
+    ordered = sorted((ids.tolist() for ids in found.values()), key=lambda ids: (len(ids), ids))
+    return [element_set(G, ids, subgroup=True) for ids in ordered]
 
 
 def quotient(G: GroupTable, N: ElementSet) -> GroupTable:
@@ -478,13 +419,7 @@ def direct_product(G1: GroupTable, G2: GroupTable) -> GroupTable:
     check_capacity(order)
     n2 = G2.order
     label = f"{G1.label}x{G2.label}" if G1.label and G2.label else ""
-    if order <= TABLE_CAP:
-        t1 = G1.table.astype(np.int64)
-        t2 = G2.table.astype(np.int64)
-        t = (t1[:, None, :, None] * n2 + t2[None, :, None, :]).reshape(order, order)
-        return GroupTable(order, table=t, label=label)
-
-    def mul_fn(a: int, b: int) -> int:
-        return G1.mul(a // n2, b // n2) * n2 + G2.mul(a % n2, b % n2)
-
-    return GroupTable(order, mul_fn=mul_fn, label=label)
+    t1 = G1.table.astype(np.int64)
+    t2 = G2.table.astype(np.int64)
+    t = (t1[:, None, :, None] * n2 + t2[None, :, None, :]).reshape(order, order)
+    return GroupTable(order, table=t, label=label)

@@ -6,16 +6,21 @@ cyclic subgroups), then filters by an element-wise normality check.  The
 engine under test instead works from normal closures of conjugacy classes,
 so agreement between the two is meaningful.
 
+``normal_subgroups_pairwise`` is the engine's earlier lattice search: the
+same seed closures, joined pairwise with every subgroup found (not only with
+the seeds) and closed without the Lagrange exit.
+
 The twist oracles try every t < a, where the code under test assembles the
 solutions of t^b = 1 mod a by CRT.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from leinster import constructors
-from leinster.groups import GroupTable
+from leinster.groups import ElementSet, GroupTable, element_set
 from leinster.numtheory import divisors, order_is_exactly
 from leinster.squarefree import MetacyclicDescriptor, canonical_twist
 
@@ -69,6 +74,65 @@ def normal_orders_bruteforce(G: GroupTable) -> list[int]:
     return sorted(len(s) for s in normal_subgroups_bruteforce(G))
 
 
+def _closure_by_squaring(G: GroupTable, gens) -> np.ndarray:
+    member = np.zeros(G.order, dtype=bool)
+    member[G.identity] = True
+    member[np.asarray(list(gens), dtype=np.int64)] = True
+    current = np.flatnonzero(member)
+    while True:
+        member[G.table[current[:, None], current[None, :]].ravel()] = True
+        grown = np.flatnonzero(member)
+        if grown.size == current.size:
+            return current
+        current = grown
+
+
+def _mask_key(ids: np.ndarray, n: int) -> bytes:
+    mask = np.zeros(n, dtype=bool)
+    mask[ids] = True
+    return np.packbits(mask).tobytes()
+
+
+def normal_subgroups_pairwise(G: GroupTable) -> list[ElementSet]:
+    """Normal subgroups as joins of every found pair, to fixpoint, starting
+    from one normal closure per conjugacy class of cyclic subgroups."""
+    n, t, inv, e = G.order, G.table, G.inv_array, G.identity
+    triv = np.array([e], dtype=np.int64)
+    found = {_mask_key(triv, n): triv}
+    covered = np.zeros(n, dtype=bool)
+    covered[e] = True
+    for g in range(n):
+        if covered[g]:
+            continue
+        cls = np.unique(t[t[:, g], inv])
+        ids = _closure_by_squaring(G, cls)
+        found.setdefault(_mask_key(ids, n), ids)
+        # powers[k - 1] holds the k-th powers of every class member
+        powers = [cls]
+        while powers[-1][0] != e:
+            powers.append(t[powers[-1], cls])
+        m = len(powers)
+        for k in range(1, m):
+            if math.gcd(k, m) == 1:
+                covered[powers[k - 1]] = True
+    work = list(found.values())
+    while work:
+        a = work.pop()
+        for b in list(found.values()):
+            if len(a) == n or len(b) == n:
+                continue
+            mask = np.zeros(n, dtype=bool)
+            mask[t[a[:, None], b[None, :]].ravel()] = True
+            joined = np.flatnonzero(mask)
+            key = _mask_key(joined, n)
+            if key not in found:
+                found[key] = joined
+                work.append(joined)
+    subs = [element_set(G, ids, subgroup=True) for ids in found.values()]
+    subs.sort(key=lambda s: (s.size, s.to_ids()))
+    return subs
+
+
 def twist_classes_bruteforce(a: int, b: int) -> list[tuple[int, int]]:
     """(minimum, order of t) of each orbit {t^k mod a : gcd(k, b) = 1} of the
     twists t != 1 with t^b = 1 mod a, straight from the definition."""
@@ -114,6 +178,7 @@ ORACLE_SPECS = [
     "C12",
     "C2xC2",
     "C2xC2xC3",
+    "C2xC2xC2xC3",  # its normal subgroup C2^3 is a join of three seed closures
     "S3",
     "A4",
     "D8",

@@ -190,6 +190,11 @@ class TestP2qr:
         assert res.status == "verified"
         assert res.evidence["hits"] == []
 
+    def test_no_prime_triple_is_partial(self):
+        res = cmd_verify_p2qr(3)
+        assert res.evidence["candidates_checked"] == 0
+        assert res.status == "partial"
+
 
 @pytest.fixture(scope="module")
 def results():
@@ -219,6 +224,28 @@ class TestTheoremClaims:
         # corpus bound 0 leaves only the named groups, which form no pair
         res = claim_multiplicativity(corpus_groups(0))
         assert res.evidence == {"pairs_checked": 0, "failures": []}
+        assert res.status == "partial"
+
+    @pytest.mark.parametrize("name,count_key", [
+        ("claim_prime_index_abelian", "instances_checked"),
+        ("claim_normal_complement", "instances_checked"),
+        ("claim_cyclic_quotients", "quotients_checked"),
+        ("claim_odd_normal_parity", "groups_checked"),
+        ("claim_tau_gt_7", "groups_checked"),
+    ])
+    def test_nothing_checked_is_partial_not_verified(self, name, count_key):
+        # an empty corpus or an empty list of census hits
+        res = getattr(claims, name)([])
+        assert res.evidence == {count_key: 0, "failures": []}
+        assert res.status == "partial"
+
+    def test_hits_without_a_four_prime_order_leave_tau_gt_7_partial(self):
+        hits = [
+            LeinsterReport("C6", 6, (1, 2, 3, 6)),
+            LeinsterReport("SD(7,8,6)", 56, (1, 2, 4, 7, 14, 28, 56)),
+        ]
+        res = claims.claim_tau_gt_7(hits)
+        assert res.evidence == {"groups_checked": 0, "failures": []}
         assert res.status == "partial"
 
     def test_equation_claims_carry_oracle_agreement(self, results):

@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
 
-from conftest import ORACLE_SPECS, cyclic_subgroup, normal_subgroups_bruteforce
+from conftest import (
+    ORACLE_SPECS,
+    cyclic_subgroup,
+    join,
+    normal_subgroups_bruteforce,
+    normal_subgroups_pairwise,
+)
 
 from leinster import constructors, groups
 from leinster.claims import corpus_groups
 from leinster.errors import CapacityError, InputError
 from leinster.groups import (
     GroupTable,
+    _closure_ids,
     _element_orders,
     _p_part,
     center,
@@ -22,6 +29,7 @@ from leinster.groups import (
     sylow,
 )
 from leinster.numtheory import prime_factors
+from leinster.squarefree import enumerate_squarefree, realize
 
 
 def build(text):
@@ -66,14 +74,34 @@ class TestGroupTable:
         with pytest.raises(CapacityError):
             build("C30000")
 
-    def test_lazy_table_above_cap(self):
-        G = build("C3000")  # above the dense-table cap, below the order cap
-        assert not G.has_table
-        assert G.mul(1, 2999) == 0
-        assert G.element_order(1) == 3000
+    def test_capacity_error_above_table_cap(self):
+        # the engine cap is the Cayley-table cap: no group above it is built
+        for spec in ("C3000", "D4100", "C2xC1100"):
+            with pytest.raises(CapacityError, match="exceeds engine capacity 2048"):
+                build(spec)
 
 
 class TestClosureAndClasses:
+    def test_closure_at_the_lagrange_bound(self):
+        # p is the smallest prime dividing n: a set of n // p elements may
+        # still be a proper subgroup, a set of n // p + 1 elements generates G
+        index_p = 0
+        for G in corpus_groups(60) + [build(spec) for spec in ORACLE_SPECS]:
+            n = G.order
+            if n == 1:
+                continue
+            cap = n // prime_factors(n)[0]
+            for N in normal_subgroups(G):
+                if N.size == cap:  # index p, so every such subgroup is normal
+                    index_p += 1
+                    assert _closure_ids(G, N.to_ids()).tolist() == N.to_ids(), G.label
+            for gens in (range(cap), range(cap + 1), [n - 1], [1, n - 1]):
+                got = _closure_ids(G, gens).tolist()
+                assert got == sorted(join(G, frozenset(gens), frozenset([G.identity]))), G.label
+                if len(gens) > cap:
+                    assert got == list(range(n)), G.label
+        assert index_p > 0
+
     def test_subgroup_closure(self):
         G = build("S3xC5")
         H = subgroup_closure(G, [G.order - 1])
@@ -144,6 +172,11 @@ class TestNormalSubgroups:
         monkeypatch.setattr(groups, "_closure_ids", counting)
         normal_subgroups(G)
         assert len(calls) == len(classes)
+
+    def test_matches_pairwise_join_oracle(self):
+        more = [realize(d) for n in (210, 330) for d in enumerate_squarefree(n)]
+        for G in corpus_groups(300) + more:
+            assert normal_subgroups(G) == normal_subgroups_pairwise(G), G.label
 
     def test_known_lattices(self):
         assert sorted(N.size for N in normal_subgroups(build("C6"))) == [1, 2, 3, 6]
