@@ -166,7 +166,7 @@ def census_universe(bound: int) -> list[LeinsterReport]:
         offer(2, report_from_orders(f"Dic{m}", 4 * m, dicyclic_normal_orders(m)))
 
     for label in NAMED_FAMILY_LABELS:
-        rep = analyze(constructors.build(constructors.parse_spec(label)))
+        rep = analyze(constructors.build(label))
         if rep.order <= bound:
             offer(3, rep)
 
@@ -213,7 +213,7 @@ def _engine_agrees(rep: LeinsterReport) -> bool:
     """Rebuild the group from its label and compare the engine's normal
     orders with the structural ones; an unparseable label disagrees."""
     try:
-        G = constructors.build(constructors.parse_spec(rep.label))
+        G = constructors.build(rep.label)
     except InputError:
         return False
     return analyze(G).normal_orders == rep.normal_orders
@@ -373,7 +373,7 @@ def p2qr_candidates(p: int, q: int, r: int) -> list[LeinsterReport]:
 
     # abelian p-part times any group of order qr
     cp2 = analyze_cyclic(p * p)
-    cpxcp = analyze(constructors.build(constructors.abelian((p, p))))
+    cpxcp = analyze(constructors.build(f"C{p}xC{p}"))
     for d in enumerate_squarefree(qr):
         if d.order != qr:
             continue
@@ -470,7 +470,7 @@ def corpus_groups(corpus_bound: int) -> list[GroupTable]:
         if is_squarefree(n):
             groups.extend(realize(d) for d in enumerate_squarefree(n))
     for label in NAMED_FAMILY_LABELS:
-        groups.append(constructors.build(constructors.parse_spec(label)))
+        groups.append(constructors.build(label))
     return groups
 
 

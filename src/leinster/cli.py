@@ -2,7 +2,8 @@
 
 Emits a JSON or text report of claim results; exit code 0 means every
 executed claim verified, 1 means at least one claim failed, 2 means the
-command never got as far as running a claim (bad usage or capacity).
+command never got as far as running a claim (bad usage or capacity) or its
+report could not be written.
 """
 
 from __future__ import annotations
@@ -81,12 +82,18 @@ def _render(claims: list, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(text: str, out_path, code: int) -> int:
+    """Write the report and return code, or 2 if the report cannot be written."""
+    try:
+        if out_path:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write the report to {out_path}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -103,13 +110,14 @@ def main(argv: list[str] | None = None) -> int:
     if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
         print(f"error: --out directory does not exist: {args.out}", file=sys.stderr)
         return 2
+    if args.out and os.path.isdir(args.out):
+        print(f"error: --out names a directory: {args.out}", file=sys.stderr)
+        return 2
 
     if args.command == "list-claims":
         if args.format == "json":
-            _emit(json.dumps({"claims": list_claim_ids()}, indent=2) + "\n", args.out)
-        else:
-            _emit("\n".join(list_claim_ids()) + "\n", args.out)
-        return 0
+            return _emit(json.dumps({"claims": list_claim_ids()}, indent=2) + "\n", args.out, 0)
+        return _emit("\n".join(list_claim_ids()) + "\n", args.out, 0)
 
     try:
         if args.command == "census":
@@ -126,10 +134,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    _emit(_render(claims, args.format), args.out)
-    if all(c.status == "verified" for c in claims):
-        return 0
-    return 1
+    code = 0 if all(c.status == "verified" for c in claims) else 1
+    return _emit(_render(claims, args.format), args.out, code)
 
 
 if __name__ == "__main__":

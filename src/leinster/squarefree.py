@@ -57,7 +57,10 @@ class MetacyclicDescriptor:
 
     @property
     def label(self) -> str:
-        return f"SF({self.a},{self.b},{self.t})"
+        """The group's constructors label.  For b = 1 it is C{a}: SF(a,1,1)
+        builds the same table, but the semidirect builder's n x n
+        temporaries fragment the heap and raise the corpus's peak RSS."""
+        return f"C{self.a}" if self.b == 1 else f"SF({self.a},{self.b},{self.t})"
 
     def pretty_label(self) -> str:
         """Human-friendly structure string, e.g. S3xC5 or D30."""
@@ -176,11 +179,8 @@ def holder_count(n: int) -> int:
 
 
 def realize(desc: MetacyclicDescriptor) -> GroupTable:
-    """Explicit GroupTable for a descriptor (delegates to the constructors)."""
-    if desc.b == 1:
-        g = constructors.build(constructors.cyclic(desc.a))
-    else:
-        g = constructors.build(constructors.semidirect(desc.a, desc.b, desc.t))
+    """Explicit GroupTable for a descriptor, labelled with its pretty label."""
+    g = constructors.build(desc.label)
     g.label = desc.pretty_label()
     return g
 

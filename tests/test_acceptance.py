@@ -62,7 +62,7 @@ def test_criterion_1_census_bound_400():
     # explicit engine rather than suppressing it.
     extras = set(hits) - set(required)
     assert extras == {"Dic3"}
-    engine = analyze(con.build(con.dicyclic(3)))
+    engine = analyze(con.build("Dic3"))
     assert engine.is_leinster and engine.normal_orders == (1, 2, 3, 6, 12)
     assert elapsed < 60
     print(f"PASS criterion 1: census-400 = 6 expected hits + engine-verified Dic3 ({elapsed:.2f}s)")

@@ -14,7 +14,7 @@ from leinster.squarefree import MetacyclicDescriptor
 
 
 def rep(text):
-    return analyze(con.build(con.parse_spec(text)))
+    return analyze(con.build(text))
 
 
 class TestReports:

@@ -56,7 +56,7 @@ class TestCensus:
         hits = {h["label"] for h in cmd_census(2000).evidence["hits"]}
         assert {"SD(95,8,18)", "SD(31,32,30)"} <= hits
         for a, b, t in ((95, 8, 18), (31, 32, 30)):
-            rep = analyze(con.build(con.semidirect(a, b, t)))
+            rep = analyze(con.build(f"SD({a},{b},{t})"))
             assert rep.is_leinster
 
     def test_split_metacyclic_specs_match_bruteforce(self):

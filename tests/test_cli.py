@@ -47,6 +47,22 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.parent.exists()
 
+    def test_out_naming_a_directory_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "cmd_census", lambda *a: pytest.fail("claim ran"))
+        assert main(["census", "--bound", "40", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_out_exits_two(self, tmp_path, capsys):
+        # the directory exists, but no file of a name this long can be created
+        out = tmp_path / ("r" * 300)
+        assert main(["census", "--bound", "40", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_exits_two(self, jobs, capsys, monkeypatch):
         monkeypatch.setattr(cli, "cmd_verify_pqrs", lambda *a, **k: pytest.fail("claim ran"))

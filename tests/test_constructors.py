@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
 
+from conftest import abelian_group, validate
+
 from leinster import constructors as con
 from leinster.errors import InputError
 
 
 class TestSpecs:
     def test_labels(self):
-        assert con.cyclic(6).label == "C6"
-        assert con.dihedral(5).label == "D10"
-        assert con.dicyclic(3).label == "Dic3"
-        assert con.semidirect(7, 8, 6).label == "SD(7,8,6)"
-        assert con.abelian((2, 2, 3)).label == "C2xC2xC3"
-        assert con.product([con.cyclic(3), con.dihedral(4)]).label == "C3xD8"
+        # a built table carries the canonical form of its label
+        for text, label in [
+            ("C6", "C6"), ("D10", "D10"), ("Dic3", "Dic3"), ("Q12", "Dic3"),
+            ("SD(7,8,6)", "SD(7,8,6)"), ("SF(15,2,11)", "SD(15,2,11)"),
+            ("C2xC2xC3", "C2xC2xC3"), ("C3xD8", "C3xD8"), ("A4", "A4"),
+        ]:
+            assert con.build(text).label == label
 
     @pytest.mark.parametrize("text,order", [
         ("C1", 1), ("C17", 17), ("D14", 14), ("Dic6", 24), ("Q8", 8),
@@ -20,54 +23,66 @@ class TestSpecs:
         ("C2xC3", 6), ("S3xC5xC7", 210),
     ])
     def test_parse_and_build(self, text, order):
-        G = con.build(con.parse_spec(text))
+        G = con.build(text)
         assert G.order == order
-        G.validate()
+        validate(G)
 
     def test_q_is_dicyclic(self):
-        assert con.parse_spec("Q20") == con.dicyclic(5)
+        Q, D = con.build("Q20"), con.build("Dic5")
+        assert Q.label == D.label == "Dic5"
+        assert np.array_equal(Q.table, D.table)
 
     @pytest.mark.parametrize("bad", ["", "C", "Cx", "D7", "Q6", "E8", "SD(x,2,3)", "C3x"])
     def test_parse_rejects(self, bad):
         with pytest.raises(InputError):
-            con.parse_spec(bad)
+            con.build(bad)
 
 
 class TestBuilders:
     def test_cyclic_structure(self):
-        G = con.build(con.cyclic(8))
+        G = con.build("C8")
         assert G.element_order(1) == 8
 
     def test_abelian_structure(self):
-        G = con.build(con.abelian((2, 4)))
+        G = con.build("C2xC4")
         assert sorted(G.element_order(g) for g in range(8)) == [1, 2, 2, 2, 4, 4, 4, 4]
 
+    @pytest.mark.parametrize("orders", [
+        (2, 2), (3, 3), (5, 5), (7, 7), (13, 13), (19, 19), (2, 4), (4, 6),
+        (2, 2, 3), (2, 2, 2, 3),
+    ])
+    def test_cyclic_products_match_mixed_radix_oracle(self, orders):
+        G = con.build("x".join(f"C{m}" for m in orders))
+        ref = abelian_group(orders)
+        assert G.label == ref.label
+        assert np.array_equal(G.table, ref.table)
+
     def test_dihedral_structure(self):
-        G = con.build(con.dihedral(6))
+        G = con.build("D12")
         orders = sorted(G.element_order(g) for g in range(12))
         assert orders.count(2) == 7  # 6 reflections + the half-turn
 
     def test_dicyclic_has_unique_involution(self):
         for m in (2, 3, 4, 5, 7):
-            G = con.build(con.dicyclic(m))
+            G = con.build(f"Dic{m}")
             assert sum(1 for g in range(G.order) if G.element_order(g) == 2) == 1
 
     def test_semidirect_spec_fails_at_build(self):
         # syntactically valid, semantically rejected
         with pytest.raises(InputError):
-            con.build(con.parse_spec("SD(4,2,3)"))
+            con.build("SD(4,2,3)")
 
     def test_semidirect_validation(self):
         with pytest.raises(InputError):
-            con.build(con.semidirect(4, 2, 3))  # gcd(a, b) != 1
+            con.build("SD(4,2,3)")  # gcd(a, b) != 1
         with pytest.raises(InputError):
-            con.build(con.semidirect(7, 2, 3))  # 3^2 != 1 mod 7
+            con.build("SD(7,2,3)")  # 3^2 != 1 mod 7
         with pytest.raises(InputError):
-            con.build(con.semidirect(9, 2, 3))  # twist not a unit
+            con.build("SD(9,2,3)")  # twist not a unit
 
     def test_semidirect_relation(self):
         # y x y^-1 = x^t in C7 x| C3 with t = 2
-        G = con.build(con.semidirect(7, 3, 2))
+        G = con.build("SD(7,3,2)")
         x, y = 3, 1  # id = i*b + j
         lhs = G.mul(G.mul(y, x), G.inv(y))
         assert lhs == 2 * 3  # x^2
@@ -82,25 +97,25 @@ class TestBuilders:
         i, j = np.divmod(np.arange(n, dtype=np.int64), b)
         tp = np.array([pow(t, e, a) for e in range(b)], dtype=np.int64)
         ref = ((i[:, None] + i[None, :] * tp[j][:, None]) % a) * b + (j[:, None] + j[None, :]) % b
-        assert np.array_equal(con.build(con.semidirect(a, b, t)).table, ref)
+        assert np.array_equal(con.build(f"SD({a},{b},{t})").table, ref)
 
     def test_perm_group(self):
         G = con.perm_group([(1, 2, 3, 0)], label="C4p")
         assert G.order == 4
-        G.validate()
+        validate(G)
 
     def test_perm_group_rejects_bad_generator(self):
         with pytest.raises(InputError):
             con.perm_group([(0, 0, 1)])
 
     def test_named(self):
-        A4 = con.build(con.named("A4"))
+        A4 = con.build("A4")
         assert A4.order == 12
         assert sorted(A4.element_order(g) for g in range(12)).count(3) == 8
         with pytest.raises(InputError):
-            con.named("M11")
+            con.build("M11")
 
     def test_product_of_products(self):
-        G = con.build(con.parse_spec("C2xC2xC2"))
+        G = con.build("C2xC2xC2")
         assert G.order == 8
         assert all(G.element_order(g) <= 2 for g in range(8))

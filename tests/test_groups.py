@@ -7,10 +7,12 @@ from conftest import (
     join,
     normal_subgroups_bruteforce,
     normal_subgroups_pairwise,
+    validate,
 )
 
-from leinster import constructors, groups
+from leinster import groups
 from leinster.claims import corpus_groups
+from leinster.constructors import build
 from leinster.errors import CapacityError, InputError
 from leinster.groups import (
     GroupTable,
@@ -18,7 +20,6 @@ from leinster.groups import (
     _element_orders,
     _p_part,
     center,
-    conjugacy_classes,
     derived_subgroup,
     direct_product,
     element_set,
@@ -32,20 +33,16 @@ from leinster.numtheory import prime_factors
 from leinster.squarefree import enumerate_squarefree, realize
 
 
-def build(text):
-    return constructors.build(constructors.parse_spec(text))
-
-
 class TestGroupTable:
     def test_validate_accepts_good_tables(self):
         for spec in ("C6", "S3", "D8", "Dic5", "A4"):
-            build(spec).validate()
+            validate(build(spec))
 
     def test_validate_rejects_broken_table(self):
         t = build("C4").table.copy()
         t[2, 3] = 2  # breaks the Latin-square property
         with pytest.raises(InputError):
-            GroupTable(4, table=t, label="broken").validate()
+            validate(GroupTable(4, table=t, label="broken"))
 
     def test_validate_rejects_nonassociative(self):
         # a quasigroup with identity that is not associative
@@ -55,7 +52,7 @@ class TestGroupTable:
                       [3, 2, 4, 0, 1],
                       [4, 3, 1, 2, 0]])
         with pytest.raises(InputError):
-            GroupTable(5, table=t, label="loop").validate()
+            validate(GroupTable(5, table=t, label="loop"))
 
     def test_identity_and_inverses(self):
         G = build("Dic5")
@@ -63,6 +60,24 @@ class TestGroupTable:
         for g in range(G.order):
             assert G.mul(g, G.inv(g)) == e
             assert G.mul(e, g) == g
+
+    def test_identity_away_from_id_zero(self):
+        # C4 relabelled by sigma = (0 2)(1 3): the identity is id 2
+        sigma = np.array([2, 3, 0, 1])
+        t = build("C4").table
+        relabelled = np.empty_like(t)
+        relabelled[np.ix_(sigma, sigma)] = sigma[t]
+        G = GroupTable(4, table=relabelled)
+        assert G.identity == 2
+        # inverses in C4: 0 -> 0, 1 -> 3, 2 -> 2, 3 -> 1, carried over by sigma
+        assert G.inv_array[sigma].tolist() == sigma[[0, 3, 2, 1]].tolist()
+
+    def test_table_without_identity_is_rejected(self):
+        # x * y = x - y mod 4 is a Latin square, but no row is the identity
+        ids = np.arange(4)
+        G = GroupTable(4, table=(ids[:, None] - ids[None, :]) % 4)
+        with pytest.raises(InputError, match="no identity"):
+            G.identity
 
     def test_element_orders(self):
         G = build("C12")
@@ -110,20 +125,6 @@ class TestClosureAndClasses:
     def test_closure_of_identity(self):
         G = build("A4")
         assert subgroup_closure(G, [G.identity]).size == 1
-
-    def test_conjugacy_class_sizes(self):
-        assert sorted(c.size for c in conjugacy_classes(build("S3")).classes) == [1, 2, 3]
-        assert sorted(c.size for c in conjugacy_classes(build("D12")).classes) == [1, 1, 2, 2, 3, 3]
-        assert sorted(c.size for c in conjugacy_classes(build("A4")).classes) == [1, 3, 4, 4]
-        assert sorted(c.size for c in conjugacy_classes(build("Dic5")).classes) == [
-            1, 1, 2, 2, 2, 2, 5, 5,
-        ]
-
-    def test_classes_partition_group(self):
-        G = build("Dic3")
-        cls = conjugacy_classes(G).classes
-        seen = sorted(g for c in cls for g in c.to_ids())
-        assert seen == list(range(G.order))
 
 
 class TestInvariantSubgroups:
@@ -197,7 +198,7 @@ class TestQuotientSylowProduct:
         G = build("Dic5")
         N = next(N for N in normal_subgroups(G) if N.size == 10)
         Q = quotient(G, N)
-        Q.validate()
+        validate(Q)
         assert Q.order == 2
 
     def test_quotient_of_a4(self):
@@ -228,7 +229,7 @@ class TestQuotientSylowProduct:
 
     def test_direct_product(self):
         G = direct_product(build("S3"), build("C5"))
-        G.validate()
+        validate(G)
         assert G.order == 30
         assert sorted(N.size for N in normal_subgroups(G)) == [1, 3, 5, 6, 15, 30]
 

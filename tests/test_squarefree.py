@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -173,7 +174,7 @@ class TestDerivedOracles:
     @settings(max_examples=150, deadline=None)
     def test_structural_orders_match_engine(self, abt):
         a, b, t = abt
-        engine = analyze(constructors.build(constructors.semidirect(a, b, t)))
+        engine = analyze(constructors.build(f"SD({a},{b},{t})"))
         assert split_metacyclic_normal_orders(a, b, t) == list(engine.normal_orders)
 
     def test_derived_report_fields_match_normal_subgroups(self):
@@ -199,3 +200,12 @@ class TestDerivedOracles:
 def test_realize_labels():
     d = MetacyclicDescriptor(15, 2, 11)
     assert realize(d).label == "S3xC5"
+
+
+@pytest.mark.parametrize("a", [1, 2, 6, 30, 210, 1155, 2039])
+def test_realize_cyclic_descriptor_is_the_cyclic_table(a):
+    # the trivial twist SF(a,1,1) is C_a entry for entry
+    G = realize(MetacyclicDescriptor(a, 1, 1))
+    assert G.label == f"C{a}"
+    assert np.array_equal(G.table, constructors.build(f"C{a}").table)
+    assert np.array_equal(G.table, constructors.build(f"SF({a},1,1)").table)
