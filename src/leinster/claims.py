@@ -263,7 +263,8 @@ def cmd_census(bound: int) -> ClaimResult:
             evidence["engine_mismatch"] = engine_mismatch
         return ClaimResult(
             claim_id=f"census-{bound}",
-            status="partial" if holder_mismatch or engine_mismatch else "verified",
+            # an empty universe (bound 1) checked nothing
+            status="partial" if holder_mismatch or engine_mismatch or not universe else "verified",
             statement="list all groups with sigma = 2|G| in the constructible universe",
             evidence=evidence,
         )
@@ -771,6 +772,11 @@ def claim_bound(bound_id: str) -> ClaimResult:
 def cmd_verify_theorems(corpus_bound: int = 200) -> list[ClaimResult]:
     """Run every registered claim: theorem property suites over the corpus,
     the equation scanners, and the fraction bounds."""
+    if corpus_bound < 0:
+        raise InputError(f"corpus bound must be >= 0, got {corpus_bound}")
+    if corpus_bound > TABLE_CAP:
+        # checked before building: every corpus group gets a Cayley table
+        raise CapacityError(f"corpus bound {corpus_bound} exceeds the engine capacity {TABLE_CAP}")
     corpus = corpus_groups(corpus_bound)
     census = cmd_census(400)
     hits = [LeinsterReport.from_json(h) for h in census.evidence["hits"]]

@@ -7,21 +7,17 @@ products joined with ``x``.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
-from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InputError
-from .groups import TABLE_CAP, GroupTable, check_capacity, direct_product
+from .errors import InputError
+from .groups import GroupTable, check_capacity, direct_product
 
-# Named permutation-generator specs; A4 and S3 show up in the candidate case
-# analyses and are aliased here rather than given bespoke code paths.
-NAMED_PERM_SPECS = {
-    "A4": ((1, 2, 0, 3), (1, 0, 3, 2)),
-    "S3": ((1, 2, 0), (1, 0, 2)),
-}
+# A4 and S3 show up in the candidate case analyses: (degree, even_only).
+NAMED_PERM_SPECS = {"A4": (4, True), "S3": (3, False)}
 
 
 # ---------------------------------------------------------------------------
@@ -36,48 +32,10 @@ def _cyclic_group(n: int) -> GroupTable:
     return GroupTable(n, (ids[:, None] + ids[None, :]) % n, f"C{n}")
 
 
-def _dihedral_group(m: int) -> GroupTable:
-    # elements (rotation, flip), id = rotation*2 + flip
-    if m < 1:
-        raise InputError(f"dihedral parameter must be >= 1, got {m}")
-    n = 2 * m
-    check_capacity(n)
-    ids = np.arange(n, dtype=np.int64)
-    r, f = ids >> 1, ids & 1
-    rot = np.where(f[:, None] == 0, r[:, None] + r[None, :], r[:, None] - r[None, :]) % m
-    flip = f[:, None] ^ f[None, :]
-    return GroupTable(n, rot * 2 + flip, f"D{n}")
-
-
-def _dicyclic_group(m: int) -> GroupTable:
-    # presentation x^(2m)=1, y^2=x^m, y x y^-1 = x^-1; elements (i, e) with
-    # i mod 2m and e in {0,1} standing for x^i y^e, id = i*2 + e
-    if m < 2:
-        raise InputError(f"dicyclic parameter must be >= 2, got {m}")
-    n = 4 * m
-    check_capacity(n)
-    ids = np.arange(n, dtype=np.int64)
-    r, e = ids >> 1, ids & 1
-    rr, er = r[:, None], e[:, None]
-    rc, ec = r[None, :], e[None, :]
-    rot = np.where(er == 0, rr + rc, rr - rc + np.where(ec == 1, m, 0)) % (2 * m)
-    flip = er ^ ec
-    return GroupTable(n, rot * 2 + flip, f"Dic{m}")
-
-
-def _semidirect_group(a: int, b: int, t: int) -> GroupTable:
-    # presentation x^a = y^b = 1, y x y^-1 = x^t; elements (i, j) standing
-    # for x^i y^j, id = i*b + j (lexicographic)
-    if a < 1 or b < 1:
-        raise InputError(f"semidirect orders must be positive, got ({a}, {b})")
-    if math.gcd(a, b) != 1:
-        raise InputError(f"semidirect requires gcd(a, b) = 1, got ({a}, {b})")
-    label = f"SD({a},{b},{t})"
-    t %= a
-    if math.gcd(t, a) != 1:
-        raise InputError(f"twist {t} is not a unit mod {a}")
-    if pow(t, b, a) != 1 % a:
-        raise InputError(f"twist {t} does not satisfy t^{b} = 1 mod {a}")
+def _metacyclic_group(a: int, b: int, t: int, s: int, label: str) -> GroupTable:
+    """The group x^a = 1, y^b = x^s, y x y^-1 = x^t with 0 <= t, s < a, on
+    ids i*b + j for x^i y^j.  The product of x^i y^j and x^k y^l is
+    x^(i + t^j k + s [j + l >= b]) y^((j + l) mod b)."""
     n = a * b
     check_capacity(n)
     tpow = [1 % a]
@@ -85,52 +43,32 @@ def _semidirect_group(a: int, b: int, t: int) -> GroupTable:
         tpow.append(tpow[-1] * t % a)
     tp = np.array(tpow, dtype=np.int32)
     # the x-part of a product depends only on (row, column's i) and the
-    # y-part only on (row, column's j), so the one n x n array allocated
-    # is the int32 result (entries stay below a^2 <= TABLE_CAP^2)
+    # y-part only on (row, column's j), so the table is one int32 broadcast
+    # of an n x a and an n x b array (entries stay below a^2 <= TABLE_CAP^2).
+    # These temporaries set the heap's peak: keeping j + l alive to reduce it
+    # mod b later raised the peak RSS of a census run
     ids = np.arange(n, dtype=np.int32)
     i, j = ids // b, ids % b
-    x = (i[:, None] + tp[j][:, None] * np.arange(a, dtype=np.int32)) % a
+    x = ((i[:, None] + tp[j][:, None] * np.arange(a, dtype=np.int32)) % a)[:, :, None]
     y = (j[:, None] + np.arange(b, dtype=np.int32)) % b
-    return GroupTable(n, (x[:, :, None] * b + y[:, None, :]).reshape(n, n), label)
+    if s:
+        # j + l >= b exactly when (j + l) mod b < j
+        x = (x + np.where(y < j[:, None], np.int32(s), np.int32(0))[:, None, :]) % a
+    return GroupTable(n, (x * b + y[:, None, :]).reshape(n, n), label)
 
 
-def perm_group(generators: Sequence[Sequence[int]], label: str = "") -> GroupTable:
-    """Closure of permutations of {0..d-1} under composition.
-
-    Elements are indexed by lexicographic order of their permutation tuples,
-    which puts the identity permutation first.
-    """
-    gens = []
-    d = None
-    for g in generators:
-        tg = tuple(int(v) for v in g)
-        if d is None:
-            d = len(tg)
-        if len(tg) != d or sorted(tg) != list(range(d)):
-            raise InputError(f"invalid permutation {g!r}")
-        gens.append(tg)
-    if d is None:
-        d = 1
-    ident = tuple(range(d))
-    elems = {ident}
-    work = [ident]
-    while work:
-        p = work.pop()
-        for g in gens:
-            q = tuple(p[g[i]] for i in range(d))
-            if q not in elems:
-                if len(elems) >= TABLE_CAP:
-                    raise CapacityError("permutation closure exceeds engine capacity")
-                elems.add(q)
-                work.append(q)
-    ordered = sorted(elems)
-    index = {p: i for i, p in enumerate(ordered)}
-    n = len(ordered)
-    table = np.empty((n, n), dtype=np.int32)
-    for i, p in enumerate(ordered):
-        for j, q in enumerate(ordered):
-            table[i, j] = index[tuple(p[q[k]] for k in range(d))]
-    return GroupTable(n, table=table, label=label or f"perm<{n}>")
+def _permutation_group(degree: int, even_only: bool, label: str) -> GroupTable:
+    """Permutations of {0..degree-1} (only the even ones if asked) in
+    lexicographic order, which puts the identity first, composed as
+    (p q)[k] = p[q[k]]."""
+    perms = [
+        p
+        for p in itertools.permutations(range(degree))
+        if not even_only or sum(u > v for u, v in itertools.combinations(p, 2)) % 2 == 0
+    ]
+    index = {p: k for k, p in enumerate(perms)}
+    table = [[index[tuple(p[k] for k in q)] for q in perms] for p in perms]
+    return GroupTable(len(perms), np.array(table), label)
 
 
 # ---------------------------------------------------------------------------
@@ -157,22 +95,34 @@ def _build_atom(tok: str) -> GroupTable:
         raise InputError(f"cannot parse group token {tok!r}")
     kind, value = next((k, v) for k, v in m.groupdict().items() if v is not None)
     if kind == "name":
-        return perm_group(NAMED_PERM_SPECS[value], label=value)
+        return _permutation_group(*NAMED_PERM_SPECS[value], value)
     if kind in ("sd", "sf"):
         a, b, t = (int(v) for v in value.split(","))
-        return _semidirect_group(a, b, t)
+        if a < 1 or b < 1:
+            raise InputError(f"semidirect orders must be positive, got ({a}, {b})")
+        if math.gcd(a, b) != 1:
+            raise InputError(f"semidirect requires gcd(a, b) = 1, got ({a}, {b})")
+        label = f"SD({a},{b},{t})"
+        t %= a
+        if math.gcd(t, a) != 1:
+            raise InputError(f"twist {t} is not a unit mod {a}")
+        if pow(t, b, a) != 1 % a:
+            raise InputError(f"twist {t} does not satisfy t^{b} = 1 mod {a}")
+        return _metacyclic_group(a, b, t, 0, label)
     n = int(value)
     if kind == "cyc":
         return _cyclic_group(n)
-    if kind == "dic":
-        return _dicyclic_group(n)
     if kind == "dih":
         if n % 2 or n < 2:
             raise InputError(f"dihedral label D{n} must carry an even order >= 2")
-        return _dihedral_group(n // 2)
-    if n % 4:
-        raise InputError(f"dicyclic label Q{n} must carry an order divisible by 4")
-    return _dicyclic_group(n // 4)
+        return _metacyclic_group(n // 2, 2, n // 2 - 1, 0, f"D{n}")
+    if kind == "quat":
+        if n % 4:
+            raise InputError(f"dicyclic label Q{n} must carry an order divisible by 4")
+        n //= 4
+    if n < 2:
+        raise InputError(f"dicyclic parameter must be >= 2, got {n}")
+    return _metacyclic_group(2 * n, 2, 2 * n - 1, n, f"Dic{n}")
 
 
 def build(label: str) -> GroupTable:

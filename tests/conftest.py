@@ -16,6 +16,9 @@ solutions of t^b = 1 mod a by CRT.
 ``validate`` checks the group axioms on a Cayley table, and
 ``abelian_group`` builds C_m1 x ... x C_mk in one mixed-radix pass, where the
 code under test forms iterated direct products of cyclic tables.
+``presentation_table`` writes out the metacyclic product formula in int64,
+and ``perm_group`` closes A4 and S3 from generators, where the code under
+test lists the permutations.
 """
 
 import math
@@ -76,6 +79,38 @@ def abelian_group(orders: tuple[int, ...]) -> GroupTable:
     for m, xa, xb in zip(orders, ca, cb):
         total = total * m + (xa + xb) % m
     return GroupTable(n, total, "x".join(f"C{m}" for m in orders))
+
+
+def presentation_table(a: int, b: int, t: int, s: int) -> np.ndarray:
+    """int64 table of x^a = 1, y^b = x^s, y x y^-1 = x^t on ids i*b + j for
+    x^i y^j, from x^i y^j * x^k y^l = x^(i + k t^j) y^(j + l) and one x^s
+    per wrap of the y-exponent past b."""
+    n = a * b
+    i, j = np.divmod(np.arange(n, dtype=np.int64), b)
+    tp = np.array([pow(t, e, a) for e in range(b)], dtype=np.int64)
+    jl = j[:, None] + j[None, :]
+    x = (i[:, None] + i[None, :] * tp[j][:, None] + s * (jl >= b)) % a
+    return x * b + jl % b
+
+
+def perm_group(generators) -> np.ndarray:
+    """Table of the closure of permutations of {0..d-1} under composition
+    (p q)[k] = p[q[k]], on the lexicographic order of the permutations."""
+    d = len(generators[0])
+    elems = {tuple(range(d))}
+    work = list(elems)
+    while work:
+        p = work.pop()
+        for g in generators:
+            q = tuple(p[g[k]] for k in range(d))
+            if q not in elems:
+                elems.add(q)
+                work.append(q)
+    ordered = sorted(elems)
+    index = {p: k for k, p in enumerate(ordered)}
+    return np.array(
+        [[index[tuple(p[q[k]] for k in range(d))] for q in ordered] for p in ordered]
+    )
 
 
 def cyclic_subgroup(G: GroupTable, g: int) -> frozenset:

@@ -17,11 +17,14 @@ from leinster.claims import (
     cmd_verify_pqrs,
     cmd_verify_theorems,
     corpus_groups,
+    dicyclic_normal_orders,
+    dihedral_normal_orders,
     list_claim_ids,
     p2qr_candidates,
     pqrs_orders,
 )
-from leinster.analysis import LeinsterReport
+from leinster.analysis import LeinsterReport, analyze
+from leinster.constructors import build
 from leinster.errors import InputError
 from leinster.numtheory import BOUNDS
 
@@ -46,6 +49,18 @@ class TestCensus:
     def test_rejects_bad_bound(self):
         with pytest.raises(InputError):
             census_universe(0)
+
+    def test_bound_one_is_partial(self):
+        # no group of order >= 2 fits, so nothing was checked
+        res = cmd_census(1)
+        assert res.evidence["universe_size"] == 0
+        assert res.status == "partial"
+
+    def test_structural_dihedral_and_dicyclic_orders_match_engine(self):
+        for m in range(1, 151):
+            assert dihedral_normal_orders(m) == list(analyze(build(f"D{2 * m}")).normal_orders)
+        for m in range(2, 76):
+            assert dicyclic_normal_orders(m) == list(analyze(build(f"Dic{m}")).normal_orders)
 
     def test_larger_hits_confirmed_by_engine(self):
         # the census bound 2000 finds hits at orders 760 and 992 via the

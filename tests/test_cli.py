@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from leinster import __version__, cli
+from leinster import __version__, claims, cli
 from leinster.cli import main
 
 
@@ -35,6 +35,16 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["census", "pqrs"])
     def test_negative_bound_exits_two(self, command, capsys):
         assert main([command, "--bound", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("bound", ["-1", "2049"])
+    def test_corpus_bound_out_of_range_exits_two(self, bound, capsys, monkeypatch):
+        # rejected before any corpus table is built (2049 would first build
+        # every squarefree group up to order 2048)
+        monkeypatch.setattr(claims, "corpus_groups", lambda *a: pytest.fail("corpus built"))
+        assert main(["theorems", "--corpus-bound", bound]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.out == ""

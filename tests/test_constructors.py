@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import abelian_group, validate
+from conftest import abelian_group, perm_group, presentation_table, validate
 
 from leinster import constructors as con
 from leinster.errors import InputError
@@ -91,22 +91,25 @@ class TestBuilders:
         "a,b,t", [(7, 8, 6), (31, 64, 30), (1021, 2, 1020), (2039, 1, 1), (1, 5, 0)]
     )
     def test_semidirect_table_matches_presentation(self, a, b, t):
-        # int64 reference from x^i y^j * x^k y^l = x^(i + k t^j) y^(j + l), up
-        # to orders near the table cap, where an int32 build would overflow first
-        n = a * b
-        i, j = np.divmod(np.arange(n, dtype=np.int64), b)
-        tp = np.array([pow(t, e, a) for e in range(b)], dtype=np.int64)
-        ref = ((i[:, None] + i[None, :] * tp[j][:, None]) % a) * b + (j[:, None] + j[None, :]) % b
-        assert np.array_equal(con.build(f"SD({a},{b},{t})").table, ref)
+        # the reference is int64, up to orders near the table cap, where an
+        # int32 build would overflow first
+        assert np.array_equal(con.build(f"SD({a},{b},{t})").table, presentation_table(a, b, t, 0))
 
-    def test_perm_group(self):
-        G = con.perm_group([(1, 2, 3, 0)], label="C4p")
-        assert G.order == 4
-        validate(G)
+    @pytest.mark.parametrize("label,a,t,s", [
+        ("D2", 1, 0, 0), ("D4", 2, 1, 0), ("D12", 6, 5, 0), ("D2046", 1023, 1022, 0),
+        ("Dic2", 4, 3, 2), ("Dic5", 10, 9, 5), ("Dic511", 1022, 1021, 511), ("Q20", 10, 9, 5),
+    ])
+    def test_dihedral_and_dicyclic_tables_match_presentation(self, label, a, t, s):
+        # x^a = 1, y^2 = x^s, y x y^-1 = x^t, up to orders near the table cap
+        assert np.array_equal(con.build(label).table, presentation_table(a, 2, t, s))
 
-    def test_perm_group_rejects_bad_generator(self):
-        with pytest.raises(InputError):
-            con.perm_group([(0, 0, 1)])
+    @pytest.mark.parametrize("label,generators", [
+        ("A4", ((1, 2, 0, 3), (1, 0, 3, 2))), ("S3", ((1, 2, 0), (1, 0, 2))),
+    ])
+    def test_named_tables_match_generator_closure(self, label, generators):
+        G = con.build(label)
+        assert G.label == label
+        assert np.array_equal(G.table, perm_group(generators))
 
     def test_named(self):
         A4 = con.build("A4")
