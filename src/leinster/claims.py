@@ -10,8 +10,11 @@ from __future__ import annotations
 import math
 import os
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from . import constructors
 from .analysis import (
@@ -26,7 +29,9 @@ from .analysis import (
 from .errors import CapacityError, InputError
 from .groups import (
     TABLE_CAP,
+    ElementSet,
     GroupTable,
+    _element_orders,
     center,
     derived_subgroup,
     direct_product,
@@ -221,15 +226,7 @@ def _engine_agrees(rep: LeinsterReport) -> bool:
 
 def cmd_census(bound: int) -> ClaimResult:
     def run() -> ClaimResult:
-        try:
-            universe = census_universe(bound)
-        except CapacityError as exc:
-            return ClaimResult(
-                claim_id=f"census-{bound}",
-                status="partial",
-                statement="list all groups with sigma = 2|G| in the constructible universe",
-                evidence={"bound": bound, "error": str(exc)},
-            )
+        universe = census_universe(bound)
         # the squarefree enumeration must agree with Holder's count at every order
         holder_mismatch = [
             n
@@ -475,27 +472,35 @@ def corpus_groups(corpus_bound: int) -> list[GroupTable]:
     return groups
 
 
-def _normals(G: GroupTable):
-    """Normal subgroups of G, memoized on the instance (the suites below
-    revisit the same corpus groups)."""
-    cached = getattr(G, "_normal_cache", None)
-    if cached is None:
-        cached = normal_subgroups(G)
-        G._normal_cache = cached
-    return cached
+# one memo per corpus group, kept as long as the group: the suites below
+# revisit the same groups, and two of them need the derived subgroup
+_MEMO: weakref.WeakKeyDictionary[GroupTable, dict] = weakref.WeakKeyDictionary()
+
+
+def _memo(G: GroupTable, key: str, compute: Callable):
+    facts = _MEMO.setdefault(G, {})
+    if key not in facts:
+        facts[key] = compute(G)
+    return facts[key]
+
+
+def _normals(G: GroupTable) -> list[ElementSet]:
+    return _memo(G, "normals", normal_subgroups)
+
+
+def _derived(G: GroupTable) -> ElementSet:
+    return _memo(G, "derived", derived_subgroup)
 
 
 def _is_abelian_subset(G: GroupTable, ids: list[int]) -> bool:
     t = G.table
-    import numpy as np
-
     arr = np.array(ids)
     sub = t[arr[:, None], arr[None, :]]
     return bool((sub == sub.T).all())
 
 
-def _has_element_of_order(G: GroupTable, k: int) -> bool:
-    return any(G.element_order(g) == k for g in range(G.order))
+def _is_cyclic(G: GroupTable) -> bool:
+    return bool((_element_orders(G) == G.order).any())
 
 
 def claim_multiplicativity(corpus: list[GroupTable], min_pairs: int = 50) -> ClaimResult:
@@ -541,7 +546,7 @@ def claim_prime_index_abelian(corpus: list[GroupTable]) -> ClaimResult:
             if z == G.order:
                 continue  # the identity below requires a non-abelian group
             subs = _normals(G)
-            d = derived_subgroup(G).size
+            d = _derived(G).size
             for N in subs:
                 if N.size == G.order:
                     continue
@@ -602,13 +607,13 @@ def claim_cyclic_quotients(corpus: list[GroupTable]) -> ClaimResult:
         for G in corpus:
             if sum(N.size for N in _normals(G)) > 2 * G.order:
                 continue
-            dsub = derived_subgroup(G)
+            dsub = _derived(G)
             for N in _normals(G):
                 if not dsub.members <= N.members:
                     continue
                 Q = quotient(G, N)
                 checked += 1
-                if not _has_element_of_order(Q, Q.order):
+                if not _is_cyclic(Q):
                     failures.append((G.label, N.size))
         return ClaimResult(
             claim_id="thm-cyclic-quotient",

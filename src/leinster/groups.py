@@ -166,29 +166,58 @@ def center(G: GroupTable) -> ElementSet:
 
 
 def derived_subgroup(G: GroupTable) -> ElementSet:
+    """G' as the normal closure of the commutators of a generating set.
+
+    The generators are taken greedily in id order, each outside the closure
+    of those before it, so there are at most log2 |G| of them.  If N is
+    normal and holds their commutators, the generators commute modulo N, so
+    G/N is abelian and G' <= N; hence G' is that normal closure.
+    """
     t = G.table
     inv = G.inv_array
-    # commutator(g, h) = (g h)(g^-1 h^-1)
-    gh = t
-    gihi = t[np.ix_(inv, inv)]
-    comms = np.unique(t[gh, gihi])
-    return element_set(G, _closure_ids(G, comms), subgroup=True)
+    gens: list[int] = []
+    span = np.zeros(G.order, dtype=bool)
+    span[G.identity] = True
+    while not span.all():
+        gens.append(int(np.argmin(span)))  # the smallest id outside the span
+        span[_closure_ids(G, gens)] = True
+    g = np.array(gens, dtype=np.int64)
+    # commutator(a, b) = (a b)(a^-1 b^-1)
+    comms = t[t[g[:, None], g[None, :]], t[inv[g][:, None], inv[g][None, :]]]
+    sub = _closure_ids(G, comms.ravel())
+    while True:
+        # the conjugates x s x^-1 of every member, one n x |sub| gather; x = e
+        # gives sub itself, so no new element means sub is normal
+        member = np.zeros(G.order, dtype=bool)
+        member[t[t[:, sub], inv[:, None]]] = True
+        if member.sum() == sub.size:
+            return element_set(G, sub, subgroup=True)
+        sub = _closure_ids(G, np.flatnonzero(member))
 
 
 # ---------------------------------------------------------------------------
 # Normality, normal subgroups, quotients
 # ---------------------------------------------------------------------------
 
+def _left_coset_minima(G: GroupTable, H: ElementSet) -> np.ndarray | None:
+    """min(gH) for every g, or None when H is not normal.
+
+    The minimum of a coset lies in it, so it labels the coset, and H is
+    normal iff every left coset gH is the right coset Hg, i.e. iff the
+    left-coset minima equal the right-coset minima.
+    """
+    t = G.table
+    mem = np.fromiter(H.members, dtype=np.int64, count=H.size)
+    left = t[:, mem].min(axis=1)
+    if not (left == t[mem, :].min(axis=0)).all():
+        return None
+    return left
+
+
 def is_normal(G: GroupTable, H: ElementSet) -> bool:
     if not H.is_subgroup:
         raise InputError("is_normal requires a subgroup-flagged ElementSet")
-    t = G.table
-    inv = G.inv_array
-    mem = np.array(H.to_ids(), dtype=np.int64)
-    mask = np.zeros(G.order, dtype=bool)
-    mask[mem] = True
-    conj = t[t[:, mem], inv[:, None]]
-    return bool(mask[conj].all())
+    return _left_coset_minima(G, H) is not None
 
 
 def _mask_bytes(ids: np.ndarray, n: int) -> bytes:
@@ -262,27 +291,19 @@ def normal_subgroups(G: GroupTable) -> list[ElementSet]:
 
 
 def quotient(G: GroupTable, N: ElementSet) -> GroupTable:
-    """Quotient group on the cosets of a normal subgroup N."""
-    if not N.is_subgroup or not is_normal(G, N):
+    """Quotient group on the cosets of a normal subgroup N, represented by
+    their smallest ids in ascending order."""
+    minima = _left_coset_minima(G, N) if N.is_subgroup else None
+    if minima is None:
         raise InputError("quotient requires a normal subgroup")
-    n = G.order
-    t = G.table
-    mem = np.array(N.to_ids(), dtype=np.int64)
-    coset_of = np.full(n, -1, dtype=np.int64)
-    reps = []
-    for g in range(n):
-        if coset_of[g] >= 0:
-            continue
-        coset_of[t[g, mem]] = len(reps)
-        reps.append(g)
-    reps_arr = np.array(reps, dtype=np.int64)
-    q = coset_of[t[np.ix_(reps_arr, reps_arr)]]
+    reps, coset_of = np.unique(minima, return_inverse=True)
+    q = coset_of[G.table[np.ix_(reps, reps)]]
     label = f"{G.label}/{N.size}" if G.label else ""
-    return GroupTable(len(reps), table=q, label=label)
+    return GroupTable(reps.size, table=q, label=label)
 
 
 # ---------------------------------------------------------------------------
-# Sylow subgroups
+# Element orders, Sylow subgroups
 # ---------------------------------------------------------------------------
 
 def _p_part(n: int, p: int) -> int:
@@ -293,64 +314,58 @@ def _p_part(n: int, p: int) -> int:
     return pk
 
 
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
+def _powers(G: GroupTable, ids: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """ids[i] ** exps[i] for every i, by square-and-multiply over the table."""
+    t = G.table
+    result = np.full(ids.size, G.identity, dtype=np.int64)
+    base = ids.astype(np.int64)
+    exps = exps.copy()
+    while exps.any():
+        odd = (exps & 1).astype(bool)
+        result[odd] = t[result[odd], base[odd]]
+        base = t[base, base]
+        exps >>= 1
+    return result
 
 
 def _element_orders(G: GroupTable) -> np.ndarray:
-    """Order of every element, from one power sweep over the table: step
-    every pending element's power at once until it reaches the identity."""
-    t = G.table
-    e = G.identity
-    orders = np.ones(G.order, dtype=np.int64)
-    pending = np.flatnonzero(np.arange(G.order) != e)
-    cur = pending
-    k = 1
-    while pending.size:
-        cur = t[cur, pending]
-        k += 1
-        done = cur == e
-        orders[pending[done]] = k
-        pending, cur = pending[~done], cur[~done]
+    """Order of every element: start at |G| and, for each prime p dividing
+    it, divide by p while g^(order / p) is still the identity."""
+    n = G.order
+    orders = np.full(n, n, dtype=np.int64)
+    for p in prime_factors(n):
+        pending = np.arange(n)
+        while pending.size:
+            pending = pending[orders[pending] % p == 0]
+            drop = _powers(G, pending, orders[pending] // p) == G.identity
+            pending = pending[drop]
+            orders[pending] //= p
     return orders
 
 
 def sylow(G: GroupTable, p: int) -> ElementSet:
-    """One Sylow p-subgroup, deterministic (greedy growth in id order)."""
+    """One Sylow p-subgroup, deterministic: the closure of the p-element of
+    largest order with the smallest id, grown one p-element at a time."""
     n = G.order
     if p < 2 or n % p != 0:
         raise InputError(f"{p} does not divide the group order {n}")
     pk = _p_part(n, p)
     orders = _element_orders(G)
-    p_elems = [g for g in range(n) if _is_p_power(int(orders[g]), p)]
-    # seeds: maximal-order p-elements first, then ascending id
-    seeds = sorted(p_elems, key=lambda g: (-int(orders[g]), g))
+    # an element order divides n, so it is a power of p iff it divides pk
+    p_elems = np.flatnonzero(pk % orders == 0)
     t = G.table
     inv = G.inv_array
-    for seed in seeds:
-        cur = _closure_ids(G, [seed])
-        while len(cur) < pk:
-            mask = np.zeros(n, dtype=bool)
-            mask[cur] = True
-            grown = False
-            for c in p_elems:
-                if mask[c]:
-                    continue
-                conj = t[t[c, cur], inv[c]]
-                if not mask[conj].all():
-                    continue
-                cand = _closure_ids(G, np.append(cur, c))
-                if _is_p_power(len(cand), p):
-                    cur = cand
-                    grown = True
-                    break
-            if not grown:
-                break
-        if len(cur) == pk:
-            return element_set(G, cur, subgroup=True)
-    raise InputError(f"could not grow a Sylow {p}-subgroup")  # pragma: no cover
+    cur = _closure_ids(G, [p_elems[np.argmax(orders[p_elems])]])
+    while cur.size < pk:
+        mask = np.zeros(n, dtype=bool)
+        mask[cur] = True
+        cands = p_elems[~mask[p_elems]]
+        # c normalises cur iff c cur c^-1 lies in cur; a proper p-subgroup
+        # of a Sylow subgroup P has a larger normaliser in P, so some
+        # candidate does, and cur<c> is then a p-subgroup of order > |cur|
+        normalises = mask[t[t[np.ix_(cands, cur)], inv[cands, None]]].all(axis=1)
+        cur = _closure_ids(G, np.append(cur, cands[np.argmax(normalises)]))
+    return element_set(G, cur, subgroup=True)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,12 @@ code under test forms iterated direct products of cyclic tables.
 ``presentation_table`` writes out the metacyclic product formula in int64,
 and ``perm_group`` closes A4 and S3 from generators, where the code under
 test lists the permutations.
+
+``element_orders_sweep``, ``derived_subgroup_sweep``, ``is_normal_by_conjugation``,
+``quotient_coset_loop`` and ``sylow_growth_loop`` are the engine's earlier
+primitives: one table step per power, all n^2 commutators, conjugation of
+every member, a Python loop over the cosets, and a Python loop over the
+candidate normalisers that closes each one.
 """
 
 import math
@@ -219,6 +225,95 @@ def normal_subgroups_pairwise(G: GroupTable) -> list[ElementSet]:
     subs = [element_set(G, ids, subgroup=True) for ids in found.values()]
     subs.sort(key=lambda s: (s.size, s.to_ids()))
     return subs
+
+
+def element_orders_sweep(G: GroupTable) -> np.ndarray:
+    """Order of every element: step every pending element's power at once
+    until it reaches the identity, one table gather per power."""
+    t, e = G.table, G.identity
+    orders = np.ones(G.order, dtype=np.int64)
+    pending = np.flatnonzero(np.arange(G.order) != e)
+    cur = pending
+    k = 1
+    while pending.size:
+        cur = t[cur, pending]
+        k += 1
+        done = cur == e
+        orders[pending[done]] = k
+        pending, cur = pending[~done], cur[~done]
+    return orders
+
+
+def derived_subgroup_sweep(G: GroupTable) -> ElementSet:
+    """The closure of all n^2 commutators (g h)(g^-1 h^-1)."""
+    t, inv = G.table, G.inv_array
+    comms = np.unique(t[t, t[np.ix_(inv, inv)]])
+    return element_set(G, _closure_by_squaring(G, comms), subgroup=True)
+
+
+def is_normal_by_conjugation(G: GroupTable, H: ElementSet) -> bool:
+    """Every conjugate g h g^-1 of every member lies in H."""
+    t, inv = G.table, G.inv_array
+    mem = np.array(H.to_ids(), dtype=np.int64)
+    mask = np.zeros(G.order, dtype=bool)
+    mask[mem] = True
+    return bool(mask[t[t[:, mem], inv[:, None]]].all())
+
+
+def quotient_coset_loop(G: GroupTable, N: ElementSet) -> GroupTable:
+    """Quotient by a normal N: walk the ids in order, and each id not yet
+    in a coset opens the coset gN as its representative."""
+    if not N.is_subgroup or not is_normal_by_conjugation(G, N):
+        raise InputError("quotient requires a normal subgroup")
+    t = G.table
+    mem = np.array(N.to_ids(), dtype=np.int64)
+    coset_of = np.full(G.order, -1, dtype=np.int64)
+    reps = []
+    for g in range(G.order):
+        if coset_of[g] >= 0:
+            continue
+        coset_of[t[g, mem]] = len(reps)
+        reps.append(g)
+    reps_arr = np.array(reps, dtype=np.int64)
+    label = f"{G.label}/{N.size}" if G.label else ""
+    return GroupTable(len(reps), table=coset_of[t[np.ix_(reps_arr, reps_arr)]], label=label)
+
+
+def sylow_growth_loop(G: GroupTable, p: int) -> ElementSet:
+    """Sylow p-subgroup by greedy growth: seeds are the p-elements by
+    descending order, then ascending id; each step adds the first p-element
+    in id order that normalises the current subgroup and keeps its closure
+    a p-group."""
+    n, t, inv = G.order, G.table, G.inv_array
+    pk = 1
+    while n % (pk * p) == 0:
+        pk *= p
+
+    def is_p_power(m: int) -> bool:
+        while m % p == 0:
+            m //= p
+        return m == 1
+
+    orders = element_orders_sweep(G)
+    p_elems = [g for g in range(n) if is_p_power(int(orders[g]))]
+    for seed in sorted(p_elems, key=lambda g: (-int(orders[g]), g)):
+        cur = _closure_by_squaring(G, [seed])
+        while len(cur) < pk:
+            mask = np.zeros(n, dtype=bool)
+            mask[cur] = True
+            grown = False
+            for c in p_elems:
+                if mask[c] or not mask[t[t[c, cur], inv[c]]].all():
+                    continue
+                cand = _closure_by_squaring(G, np.append(cur, c))
+                if is_p_power(len(cand)):
+                    cur, grown = cand, True
+                    break
+            if not grown:
+                break
+        if len(cur) == pk:
+            return element_set(G, cur, subgroup=True)
+    raise AssertionError(f"no Sylow {p}-subgroup grown")
 
 
 def twist_classes_bruteforce(a: int, b: int) -> list[tuple[int, int]]:

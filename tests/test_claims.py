@@ -254,6 +254,32 @@ class TestTheoremClaims:
         assert res.evidence == {count_key: 0, "failures": []}
         assert res.status == "partial"
 
+    def test_suites_compute_each_lattice_and_derived_subgroup_once(self, monkeypatch):
+        calls = {"normal_subgroups": [], "derived_subgroup": []}
+
+        def counting(name):
+            real = getattr(claims, name)
+
+            def record(G):
+                calls[name].append(id(G))
+                return real(G)
+
+            return record
+
+        for name in calls:
+            monkeypatch.setattr(claims, name, counting(name))
+        corpus = corpus_groups(60)
+        for suite in (
+            claims.claim_prime_index_abelian,
+            claims.claim_normal_complement,
+            claims.claim_cyclic_quotients,
+        ):
+            assert suite(corpus).status == "verified"
+        for name, ids in calls.items():
+            assert len(ids) == len(set(ids)), name
+        assert len(calls["normal_subgroups"]) == len(corpus)
+        assert calls["derived_subgroup"]
+
     def test_hits_without_a_four_prime_order_leave_tau_gt_7_partial(self):
         hits = [
             LeinsterReport("C6", 6, (1, 2, 3, 6)),

@@ -91,10 +91,12 @@ class TestExitCodes:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
-    def test_capacity_overflow_reports_partial(self, capsys):
-        # the census catches the capacity error and reports a partial claim
-        assert main(["census", "--bound", "50000"]) == 1
-        assert "partial" in capsys.readouterr().out
+    def test_census_bound_above_cap_exits_two(self, capsys):
+        # a bound above CENSUS_CAP (20 000) is a capacity error, not a claim
+        assert main(["census", "--bound", "50000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: census bound 50000 exceeds the capacity 20000\n"
+        assert captured.out == ""
 
 
 class TestJsonReport:

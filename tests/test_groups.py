@@ -3,10 +3,16 @@ import pytest
 
 from conftest import (
     ORACLE_SPECS,
+    all_subgroups_bruteforce,
     cyclic_subgroup,
+    derived_subgroup_sweep,
+    element_orders_sweep,
+    is_normal_bruteforce,
     join,
     normal_subgroups_bruteforce,
     normal_subgroups_pairwise,
+    quotient_coset_loop,
+    sylow_growth_loop,
     validate,
 )
 
@@ -257,3 +263,78 @@ class TestElementOrdersAndSylow:
                 assert subgroup_closure(G, P.members) == P, (G.label, p)
                 assert P.size == _p_part(n, p), (G.label, p)
                 assert all(P.size % G.element_order(g) == 0 for g in P.members), (G.label, p)
+
+
+def oracle_corpus():
+    return corpus_groups(120) + [build(spec) for spec in ORACLE_SPECS]
+
+
+class TestPrimitivesMatchOracles:
+    """The engine's primitives equal their earlier implementations, kept in
+    conftest as oracles, exactly."""
+
+    def test_element_orders(self):
+        for G in oracle_corpus():
+            got, want = _element_orders(G), element_orders_sweep(G)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist(), G.label
+
+    def test_derived_subgroup(self):
+        for G in oracle_corpus():
+            assert derived_subgroup(G) == derived_subgroup_sweep(G), G.label
+
+    def test_quotient_by_every_normal_subgroup(self):
+        for G in oracle_corpus():
+            for N in normal_subgroups(G):
+                got, want = quotient(G, N), quotient_coset_loop(G, N)
+                assert (got.order, got.label) == (want.order, want.label), (G.label, N.size)
+                assert got.table.tolist() == want.table.tolist(), (G.label, N.size)
+
+    def test_sylow_at_every_prime(self):
+        # the corpus has few non-normal, non-cyclic Sylow subgroups, where
+        # the growth order decides which Sylow subgroup comes back
+        more = [build(spec) for spec in ("D24", "S3xS3", "D8xS3", "Dic3xS3")]
+        for G in oracle_corpus() + more:
+            for p in prime_factors(G.order):
+                assert sylow(G, p) == sylow_growth_loop(G, p), (G.label, p)
+
+    def test_is_normal_on_every_subgroup(self, oracle_group):
+        G = oracle_group
+        for sub in all_subgroups_bruteforce(G):
+            H = element_set(G, sub, subgroup=True)
+            assert is_normal(G, H) == is_normal_bruteforce(G, sub), (G.label, sorted(sub))
+
+
+def _generators(G, ids):
+    """A few of ids that generate the same subgroup: each one chosen lies
+    outside the closure of those before it."""
+    gens, span = [], {G.identity}
+    for g in sorted(ids):
+        if g not in span:
+            gens.append(g)
+            span = join(G, frozenset(span), frozenset([g]))
+    return gens
+
+
+class TestRegularPermutationRepresentation:
+    def test_center_derived_and_sylow_orders(self):
+        # g acts on the ids by left multiplication, a faithful permutation
+        # representation of G, so sympy computes the subgroup orders independently
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+
+        def perms(G, ids):
+            return [combinatorics.Permutation(G.table[g].tolist()) for g in ids]
+
+        for G in oracle_corpus():
+            n = G.order
+            P = combinatorics.PermutationGroup(perms(G, _generators(G, range(n)) or [G.identity]))
+            assert P.order() == n, G.label
+            # sympy's center is slow on abelian groups, which are their own center
+            z = n if P.is_abelian else P.center().order()
+            assert center(G).size == z, G.label
+            assert derived_subgroup(G).size == P.derived_subgroup().order(), G.label
+            for p in prime_factors(n):
+                S = sylow(G, p)
+                gens = perms(G, _generators(G, S.members) or [G.identity])
+                # S is a subgroup, and its order is the p-part of |G|
+                assert combinatorics.PermutationGroup(gens).order() == S.size, (G.label, p)
+                assert S.size % p == 0 and (n // S.size) % p != 0, (G.label, p)
