@@ -43,6 +43,7 @@ from .numtheory import (
     BOUNDS,
     EQUATIONS,
     check_bound,
+    divisors,
     factorize,
     is_prime,
     is_squarefree,
@@ -105,8 +106,6 @@ def dihedral_normal_orders(m: int) -> list[int]:
     """Normal-subgroup orders of the dihedral group of order 2m: every
     subgroup of the rotation C_m, the whole group, and (for even m) the two
     index-2 dihedral subgroups."""
-    from .numtheory import divisors
-
     extra = [m, m] if m % 2 == 0 else []
     return sorted(divisors(m) + extra + [2 * m])
 
@@ -115,99 +114,92 @@ def dicyclic_normal_orders(m: int) -> list[int]:
     """Normal-subgroup orders of the dicyclic group of order 4m: every
     subgroup of the cyclic C_{2m}, the whole group, and (for even m) the two
     index-2 dicyclic subgroups."""
-    from .numtheory import divisors
-
     extra = [2 * m, 2 * m] if m % 2 == 0 else []
     return sorted(divisors(2 * m) + extra + [4 * m])
 
 
-def _split_metacyclic_specs(bound: int) -> list[tuple[int, int, int]]:
-    """All canonical (a, b, t) with gcd(a,b)=1, t^b=1 mod a, t != 1, ab <= bound,
+def _split_metacyclic_specs(n: int) -> list[tuple[int, int, int]]:
+    """All canonical (a, b, t) with ab = n, gcd(a,b)=1, t^b=1 mod a, t != 1,
     sorted."""
     return [
-        (a, b, t)
-        for a in range(3, bound // 2 + 1)
-        for b in range(2, bound // a + 1)
-        if math.gcd(a, b) == 1
-        for t, _ in twist_classes(a, b)
+        (a, n // a, t)
+        for a in divisors(n)
+        if a >= 3 and n // a >= 2 and math.gcd(a, n // a) == 1
+        for t, _ in twist_classes(a, n // a)
     ]
 
 
-def _fingerprint(rep: LeinsterReport) -> tuple:
-    # the (order, normal orders) pair: the whole group is its largest normal
-    # subgroup, so the sorted orders end in the order and determine it
-    return rep.normal_orders
+def _offer(pool: dict, priority: int, rep: LeinsterReport) -> None:
+    """Keep rep unless its fingerprint, the sorted normal orders, already has
+    a smaller (priority, label).  The winner does not depend on offer order."""
+    held = pool.get(rep.normal_orders)
+    if held is None or (priority, rep.label) < held[:2]:
+        pool[rep.normal_orders] = (priority, rep.label, rep)
 
 
-def census_universe(bound: int) -> list[LeinsterReport]:
-    """Deterministic, duplicate-free reports for every constructible group of
-    order <= bound: cyclic, dihedral, dicyclic, named, squarefree, split
-    metacyclic, and pairwise coprime products of all of these."""
+def census_universe(bound: int) -> tuple[int, list[LeinsterReport], list[int]]:
+    """One ascending pass over the orders n <= bound of the constructible
+    universe: cyclic, dihedral, dicyclic, named, squarefree, split metacyclic,
+    and pairwise coprime products of all of these.
+
+    Returns the number of distinct fingerprints, the Leinster hits sorted by
+    (order, label), and the squarefree orders whose enumeration disagrees
+    with Holder's count.  A fingerprint ends in the group order, so each
+    order's pool is settled before the next one starts."""
     if bound < 1:
         raise InputError(f"census bound must be >= 1, got {bound}")
     if bound > CENSUS_CAP:
         raise CapacityError(f"census bound {bound} exceeds the capacity {CENSUS_CAP}")
 
-    # fingerprint -> (family_priority, label, report); the smallest
-    # (priority, label) of each fingerprint wins
-    pool: dict[tuple, tuple[int, str, LeinsterReport]] = {}
-
-    def offer(priority: int, rep: LeinsterReport) -> None:
-        fp = _fingerprint(rep)
-        held = pool.get(fp)
-        if held is None or (priority, rep.label) < held[:2]:
-            pool[fp] = (priority, rep.label, rep)
-
-    def survivors() -> list[LeinsterReport]:
-        return sorted((rep for _, _, rep in pool.values()), key=lambda r: (r.order, r.label))
-
-    for n in range(2, bound + 1):
-        offer(0, analyze_cyclic(n))
-
-    for m in range(2, bound // 2 + 1):
-        offer(1, report_from_orders(f"D{2 * m}", 2 * m, dihedral_normal_orders(m)))
-
-    for m in range(2, bound // 4 + 1):
-        offer(2, report_from_orders(f"Dic{m}", 4 * m, dicyclic_normal_orders(m)))
-
+    named: dict[int, list[LeinsterReport]] = {}
     for label in NAMED_FAMILY_LABELS:
         rep = analyze(constructors.build(label))
-        if rep.order <= bound:
-            offer(3, rep)
-
+        named.setdefault(rep.order, []).append(rep)
+    # base winners by order: the factors of the products
+    factors: dict[int, list[LeinsterReport]] = {}
+    size = 0
+    hits: list[LeinsterReport] = []
+    holder_mismatch: list[int] = []
     for n in range(2, bound + 1):
+        pool: dict[tuple, tuple[int, str, LeinsterReport]] = {}
+        _offer(pool, 0, analyze_cyclic(n))
+        if n % 2 == 0 and n >= 4:
+            _offer(pool, 1, report_from_orders(f"D{n}", n, dihedral_normal_orders(n // 2)))
+        if n % 4 == 0 and n >= 8:
+            _offer(pool, 2, report_from_orders(f"Dic{n // 4}", n, dicyclic_normal_orders(n // 4)))
+        for rep in named.get(n, ()):
+            _offer(pool, 3, rep)
         if is_squarefree(n):
-            for d in enumerate_squarefree(n):
-                offer(4, analyze_descriptor(d))
+            descs = enumerate_squarefree(n)
+            # the squarefree enumeration must agree with Holder's count
+            if len(descs) != holder_count(n):
+                holder_mismatch.append(n)
+            for d in descs:
+                _offer(pool, 4, analyze_descriptor(d))
+        for a, b, t in _split_metacyclic_specs(n):
+            _offer(pool, 6, analyze_split_metacyclic(a, b, t))
+        if 2 * n <= bound:
+            factors[n] = [rep for _, _, rep in pool.values()]
 
-    for a, b, t in _split_metacyclic_specs(bound):
-        offer(6, analyze_split_metacyclic(a, b, t))
-
-    # pairwise coprime products (cyclic factors go last in the label); these
-    # rank above the squarefree and raw split-metacyclic labels so that e.g.
-    # the Dic7xC13 name wins over an isomorphic SD(...) presentation.  The
-    # winner of each fingerprint does not depend on the offer order, so the
-    # pairs are formed per coprime pair of orders.
-    by_order: dict[int, list[LeinsterReport]] = {}
-    for rep in survivors():
-        by_order.setdefault(rep.order, []).append(rep)
-    orders = list(by_order)  # ascending
-    for i, o1 in enumerate(orders):
-        if o1 * o1 > bound:
-            break  # every later order pairs only with larger ones
-        for o2 in orders[i + 1 :]:
-            if o1 * o2 > bound:
+        # coprime products (cyclic factors go last in the label); these rank
+        # above the squarefree and raw split-metacyclic labels so that e.g.
+        # the Dic7xC13 name wins over an isomorphic SD(...) presentation
+        for o1 in divisors(n):
+            o2 = n // o1
+            if o1 >= o2:
                 break
-            if math.gcd(o1, o2) != 1:
+            if o1 == 1 or math.gcd(o1, o2) != 1:
                 continue
-            for r1 in by_order[o1]:
-                for r2 in by_order[o2]:
+            for r1 in factors[o1]:
+                for r2 in factors[o2]:
                     if _is_cyclic_report(r1) and not _is_cyclic_report(r2):
-                        offer(5, analyze_coprime_product(r2, r1))
+                        _offer(pool, 5, analyze_coprime_product(r2, r1))
                     else:
-                        offer(5, analyze_coprime_product(r1, r2))
+                        _offer(pool, 5, analyze_coprime_product(r1, r2))
 
-    return survivors()
+        size += len(pool)
+        hits += sorted((rep for _, _, rep in pool.values() if rep.is_leinster), key=lambda r: r.label)
+    return size, hits, holder_mismatch
 
 
 def _is_cyclic_report(rep: LeinsterReport) -> bool:
@@ -226,14 +218,7 @@ def _engine_agrees(rep: LeinsterReport) -> bool:
 
 def cmd_census(bound: int) -> ClaimResult:
     def run() -> ClaimResult:
-        universe = census_universe(bound)
-        # the squarefree enumeration must agree with Holder's count at every order
-        holder_mismatch = [
-            n
-            for n in range(2, bound + 1)
-            if is_squarefree(n) and len(enumerate_squarefree(n)) != holder_count(n)
-        ]
-        hits = [r for r in universe if r.is_leinster]
+        universe_size, hits, holder_mismatch = census_universe(bound)
         # every hit small enough for a Cayley table is re-checked on the engine
         engine_mismatch = [
             r.label for r in hits if r.order <= TABLE_CAP and not _engine_agrees(r)
@@ -250,7 +235,7 @@ def cmd_census(bound: int) -> ClaimResult:
         )
         evidence = {
             "bound": bound,
-            "universe_size": len(universe),
+            "universe_size": universe_size,
             "hits": [r.to_json() for r in hits],
             "p3q_coverage": note,
         }
@@ -261,7 +246,7 @@ def cmd_census(bound: int) -> ClaimResult:
         return ClaimResult(
             claim_id=f"census-{bound}",
             # an empty universe (bound 1) checked nothing
-            status="partial" if holder_mismatch or engine_mismatch or not universe else "verified",
+            status="partial" if holder_mismatch or engine_mismatch or not universe_size else "verified",
             statement="list all groups with sigma = 2|G| in the constructible universe",
             evidence=evidence,
         )
@@ -366,7 +351,7 @@ def p2qr_candidates(p: int, q: int, r: int) -> list[LeinsterReport]:
     dicyclic-times-cyclic (p = 2), and split semidirect products with acting
     order p^2, times a cyclic complement.
     """
-    out: list[tuple[int, LeinsterReport]] = []
+    pool: dict[tuple, tuple[int, str, LeinsterReport]] = {}
     qr = q * r
 
     # abelian p-part times any group of order qr
@@ -376,8 +361,8 @@ def p2qr_candidates(p: int, q: int, r: int) -> list[LeinsterReport]:
         if d.order != qr:
             continue
         rep = analyze_descriptor(d)
-        out.append((2, analyze_coprime_product(rep, cp2)))
-        out.append((2, analyze_coprime_product(rep, cpxcp)))
+        _offer(pool, 2, analyze_coprime_product(rep, cp2))
+        _offer(pool, 2, analyze_coprime_product(rep, cpxcp))
 
     # dicyclic times cyclic (the 2-part of a dicyclic group is 4)
     if p == 2:
@@ -385,7 +370,7 @@ def p2qr_candidates(p: int, q: int, r: int) -> list[LeinsterReport]:
             rep = analyze_split_metacyclic(m, 4, m - 1, label=f"Dic{m}")
             if c > 1:
                 rep = analyze_coprime_product(rep, analyze_cyclic(c))
-            out.append((0, rep))
+            _offer(pool, 0, rep)
 
     # split semidirect with acting order p^2, times a cyclic complement
     pp = p * p
@@ -395,17 +380,9 @@ def p2qr_candidates(p: int, q: int, r: int) -> list[LeinsterReport]:
             rep = analyze_split_metacyclic(a, pp, t)
             if c > 1:
                 rep = analyze_coprime_product(rep, analyze_cyclic(c))
-            out.append((1, rep))
+            _offer(pool, 1, rep)
 
-    out.sort(key=lambda pr: (pr[1].order, pr[0], pr[1].label))
-    seen: dict[tuple, LeinsterReport] = {}
-    result = []
-    for _, rep in out:
-        fp = _fingerprint(rep)
-        if fp not in seen:
-            seen[fp] = rep
-            result.append(rep)
-    return result
+    return [rep for _, _, rep in sorted(pool.values(), key=lambda held: held[:2])]
 
 
 def cmd_verify_p2qr(prime_bound: int) -> ClaimResult:
@@ -492,6 +469,10 @@ def _derived(G: GroupTable) -> ElementSet:
     return _memo(G, "derived", derived_subgroup)
 
 
+def _report(G: GroupTable) -> LeinsterReport:
+    return report_from_orders(G.label, G.order, [N.size for N in _normals(G)])
+
+
 def _is_abelian_subset(G: GroupTable, ids: list[int]) -> bool:
     t = G.table
     arr = np.array(ids)
@@ -516,7 +497,7 @@ def claim_multiplicativity(corpus: list[GroupTable], min_pairs: int = 50) -> Cla
         failures = []
         for g1, g2 in pairs:
             direct = analyze(direct_product(g1, g2))
-            structural = analyze_coprime_product(analyze(g1), analyze(g2))
+            structural = analyze_coprime_product(_report(g1), _report(g2))
             if (direct.sigma, direct.tau, direct.normal_orders) != (
                 structural.sigma,
                 structural.tau,

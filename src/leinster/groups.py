@@ -113,9 +113,6 @@ class ElementSet:
         """Canonical serialization: sorted id list."""
         return sorted(self.members)
 
-    def __contains__(self, g: int) -> bool:
-        return g in self.members
-
 
 def element_set(G: GroupTable, ids: Iterable[int], subgroup: bool = False) -> ElementSet:
     return ElementSet(G.order, frozenset(int(i) for i in ids), subgroup)

@@ -160,9 +160,6 @@ class EquationSpec:
     unreduced: Callable[..., bool]
     note: str = ""
 
-    def variables(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.fixed) + self.free + (self.dependent,)
-
 
 def _check_bounds(eq: EquationSpec, bounds: dict[str, int]) -> None:
     for name in eq.free + (eq.dependent,):

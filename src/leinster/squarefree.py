@@ -140,10 +140,7 @@ def twist_classes(a: int, b: int) -> list[tuple[int, int]]:
     return out
 
 
-# room for all 12 160 squarefree orders up to the census cap of 20 000: the
-# census enumerates them in ascending order twice, and a smaller LRU cache
-# misses on every call of the second pass
-@lru_cache(maxsize=16384)
+@lru_cache(maxsize=1024)
 def enumerate_squarefree(n: int) -> tuple[MetacyclicDescriptor, ...]:
     """One canonical descriptor per isomorphism class of order n, by (a, t)."""
     if n < 1 or not is_squarefree(n):
@@ -159,7 +156,6 @@ def enumerate_squarefree(n: int) -> tuple[MetacyclicDescriptor, ...]:
     return tuple(found)
 
 
-@lru_cache(maxsize=8192)
 def holder_count(n: int) -> int:
     """Number of isomorphism classes of groups of squarefree order n,
     by the classical counting formula (independent of the enumeration)."""

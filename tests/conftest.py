@@ -25,6 +25,11 @@ test lists the permutations.
 primitives: one table step per power, all n^2 commutators, conjugation of
 every member, a Python loop over the cosets, and a Python loop over the
 candidate normalisers that closes each one.
+
+``census_universe_pooled`` is the census's earlier list-building form: every
+base family offered over all orders into one pool, then the coprime products
+of the base survivors, then one sort.  The code under test streams the
+orders one at a time.
 """
 
 import math
@@ -33,10 +38,29 @@ import numpy as np
 import pytest
 
 from leinster import constructors
+from leinster.analysis import (
+    analyze,
+    analyze_coprime_product,
+    analyze_cyclic,
+    analyze_descriptor,
+    analyze_split_metacyclic,
+    report_from_orders,
+)
+from leinster.claims import (
+    NAMED_FAMILY_LABELS,
+    _is_cyclic_report,
+    dicyclic_normal_orders,
+    dihedral_normal_orders,
+)
 from leinster.errors import InputError
 from leinster.groups import ElementSet, GroupTable, element_set
-from leinster.numtheory import divisors, order_is_exactly
-from leinster.squarefree import MetacyclicDescriptor, canonical_twist
+from leinster.numtheory import divisors, is_squarefree, order_is_exactly
+from leinster.squarefree import (
+    MetacyclicDescriptor,
+    canonical_twist,
+    enumerate_squarefree,
+    twist_classes,
+)
 
 
 def validate(G: GroupTable, rng_seed: int = 0) -> None:
@@ -352,6 +376,58 @@ def enumerate_squarefree_bruteforce(n: int) -> tuple[MetacyclicDescriptor, ...]:
             if math.gcd(t, a) == 1 and order_is_exactly(t, a, b):
                 found.add(MetacyclicDescriptor(a, b, canonical_twist(a, b, t)))
     return tuple(sorted(found, key=lambda d: (d.a, d.t)))
+
+
+def census_universe_pooled(bound: int) -> list:
+    """Every fingerprint's winner of the constructible universe up to the
+    bound, sorted by (order, label)."""
+    pool = {}
+
+    def offer(priority, rep):
+        held = pool.get(rep.normal_orders)
+        if held is None or (priority, rep.label) < held[:2]:
+            pool[rep.normal_orders] = (priority, rep.label, rep)
+
+    def survivors():
+        return sorted((rep for _, _, rep in pool.values()), key=lambda r: (r.order, r.label))
+
+    for n in range(2, bound + 1):
+        offer(0, analyze_cyclic(n))
+    for m in range(2, bound // 2 + 1):
+        offer(1, report_from_orders(f"D{2 * m}", 2 * m, dihedral_normal_orders(m)))
+    for m in range(2, bound // 4 + 1):
+        offer(2, report_from_orders(f"Dic{m}", 4 * m, dicyclic_normal_orders(m)))
+    for label in NAMED_FAMILY_LABELS:
+        rep = analyze(constructors.build(label))
+        if rep.order <= bound:
+            offer(3, rep)
+    for n in range(2, bound + 1):
+        if is_squarefree(n):
+            for d in enumerate_squarefree(n):
+                offer(4, analyze_descriptor(d))
+    for a in range(3, bound // 2 + 1):
+        for b in range(2, bound // a + 1):
+            if math.gcd(a, b) == 1:
+                for t, _ in twist_classes(a, b):
+                    offer(6, analyze_split_metacyclic(a, b, t))
+
+    by_order = {}
+    for rep in survivors():
+        by_order.setdefault(rep.order, []).append(rep)
+    orders = list(by_order)
+    for i, o1 in enumerate(orders):
+        for o2 in orders[i + 1 :]:
+            if o1 * o2 > bound:
+                break
+            if math.gcd(o1, o2) != 1:
+                continue
+            for r1 in by_order[o1]:
+                for r2 in by_order[o2]:
+                    if _is_cyclic_report(r1) and not _is_cyclic_report(r2):
+                        offer(5, analyze_coprime_product(r2, r1))
+                    else:
+                        offer(5, analyze_coprime_product(r1, r2))
+    return survivors()
 
 
 # Small groups exercised by several suites: a mix of abelian, dihedral,

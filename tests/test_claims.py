@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from conftest import split_metacyclic_specs_bruteforce
+from conftest import census_universe_pooled, split_metacyclic_specs_bruteforce
 
-from leinster import claims
+from leinster import analysis, claims
 from leinster.claims import (
     EQUATION_CLAIMS,
     _split_metacyclic_specs,
@@ -41,10 +41,11 @@ class TestCensus:
         large = cmd_census(200).evidence["hits"]
         assert large[: len(small)] == small
 
-    def test_universe_has_no_duplicate_fingerprints(self):
-        universe = census_universe(80)
-        fps = [(r.order, r.normal_orders) for r in universe]
-        assert len(fps) == len(set(fps))
+    @pytest.mark.parametrize("bound", [1, 2, 80, 400, 2000])
+    def test_streamed_census_equals_pooled_oracle(self, bound):
+        universe = census_universe_pooled(bound)
+        hits = [r for r in universe if r.is_leinster]
+        assert census_universe(bound) == (len(universe), hits, [])
 
     def test_rejects_bad_bound(self):
         with pytest.raises(InputError):
@@ -76,7 +77,9 @@ class TestCensus:
 
     def test_split_metacyclic_specs_match_bruteforce(self):
         for bound in (1, 6, 2000):
-            assert _split_metacyclic_specs(bound) == split_metacyclic_specs_bruteforce(bound)
+            brute = split_metacyclic_specs_bruteforce(bound)
+            for n in range(2, bound + 1):
+                assert _split_metacyclic_specs(n) == [s for s in brute if s[0] * s[1] == n], n
 
     def test_holder_mismatch_makes_census_partial(self, monkeypatch):
         assert "holder_mismatch" not in cmd_census(60).evidence
@@ -95,15 +98,16 @@ class TestCensus:
         def tampered(bound):
             # SD(7,8,6) with one normal order moved: still a hit (sigma
             # unchanged), but no longer what the engine computes
+            size, hits, holder_mismatch = real(bound)
             out = []
-            for r in real(bound):
+            for r in hits:
                 if r.label == "SD(7,8,6)":
                     orders = list(r.normal_orders)
                     orders[1] -= 1
                     orders[2] += 1
                     r = LeinsterReport(r.label, r.order, tuple(orders))
                 out.append(r)
-            return out
+            return size, out, holder_mismatch
 
         monkeypatch.setattr(claims, "census_universe", tampered)
         res = cmd_census(100)
@@ -112,14 +116,13 @@ class TestCensus:
 
     def test_unparseable_hit_label_makes_census_partial(self, monkeypatch):
         real = claims.census_universe
-        monkeypatch.setattr(
-            claims,
-            "census_universe",
-            lambda bound: [
-                LeinsterReport("C6?", r.order, r.normal_orders) if r.label == "C6" else r
-                for r in real(bound)
-            ],
-        )
+
+        def tampered(bound):
+            size, hits, holder_mismatch = real(bound)
+            hits = [LeinsterReport("C6?", r.order, r.normal_orders) if r.label == "C6" else r for r in hits]
+            return size, hits, holder_mismatch
+
+        monkeypatch.setattr(claims, "census_universe", tampered)
         res = cmd_census(30)
         assert res.status == "partial"
         assert res.evidence["engine_mismatch"] == ["C6?"]
@@ -255,29 +258,42 @@ class TestTheoremClaims:
         assert res.status == "partial"
 
     def test_suites_compute_each_lattice_and_derived_subgroup_once(self, monkeypatch):
+        # the groups are kept alive, so their ids stay distinct
         calls = {"normal_subgroups": [], "derived_subgroup": []}
 
-        def counting(name):
-            real = getattr(claims, name)
+        def counting(module, name):
+            real = getattr(module, name)
 
             def record(G):
-                calls[name].append(id(G))
+                calls[name].append(G)
                 return real(G)
 
             return record
 
-        for name in calls:
-            monkeypatch.setattr(claims, name, counting(name))
-        corpus = corpus_groups(60)
-        for suite in (
-            claims.claim_prime_index_abelian,
-            claims.claim_normal_complement,
-            claims.claim_cyclic_quotients,
+        for module, name in (
+            (claims, "normal_subgroups"),
+            (analysis, "normal_subgroups"),
+            (claims, "derived_subgroup"),
         ):
-            assert suite(corpus).status == "verified"
-        for name, ids in calls.items():
-            assert len(ids) == len(set(ids)), name
-        assert len(calls["normal_subgroups"]) == len(corpus)
+            monkeypatch.setattr(module, name, counting(module, name))
+        corpus = corpus_groups(60)
+        results = [
+            suite(corpus)
+            for suite in (
+                claims.claim_multiplicativity,
+                claims.claim_prime_index_abelian,
+                claims.claim_normal_complement,
+                claims.claim_cyclic_quotients,
+            )
+        ]
+        assert all(res.status == "verified" for res in results)
+        for name, groups in calls.items():
+            assert len({id(G) for G in groups}) == len(groups), name
+        # one lattice per corpus group, and one per product checked on the engine
+        in_corpus = {id(G) for G in corpus}
+        assert sum(id(G) in in_corpus for G in calls["normal_subgroups"]) == len(corpus)
+        pairs = results[0].evidence["pairs_checked"]
+        assert len(calls["normal_subgroups"]) == len(corpus) + pairs
         assert calls["derived_subgroup"]
 
     def test_hits_without_a_four_prime_order_leave_tau_gt_7_partial(self):
