@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .groups import GroupTable, normal_subgroups
+from .numtheory import divisors
 from .squarefree import MetacyclicDescriptor, descriptor_normal_orders, split_metacyclic_normal_orders
 
 
@@ -82,7 +83,7 @@ def analyze_split_metacyclic(a: int, b: int, t: int, label: str = "") -> Leinste
 
 def analyze_cyclic(n: int) -> LeinsterReport:
     """Structural path for a cyclic group: one normal subgroup per divisor."""
-    return analyze_split_metacyclic(n, 1, 1, label=f"C{n}")
+    return report_from_orders(f"C{n}", n, divisors(n))
 
 
 def analyze_coprime_product(r1: LeinsterReport, r2: LeinsterReport) -> LeinsterReport:

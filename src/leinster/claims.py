@@ -145,7 +145,15 @@ def census_universe(bound: int) -> tuple[int, list[LeinsterReport], list[int]]:
     Returns the number of distinct fingerprints, the Leinster hits sorted by
     (order, label), and the squarefree orders whose enumeration disagrees
     with Holder's count.  A fingerprint ends in the group order, so each
-    order's pool is settled before the next one starts."""
+    order's pool is settled before the next one starts.
+
+    A fingerprint's winner is its smallest (priority, label), the families
+    ranking cyclic 0, D 1, Dic 2, named 3, squarefree 4, coprime product 5,
+    split metacyclic 6.  Offers that provably lose to a higher-ranked family
+    are not built: specs and products at squarefree orders, where every group
+    is one of the descriptors; the cyclic descriptor and cyclic x cyclic
+    products, which are C{n}; and a spec whose twist fixes a prime power q of
+    a, which is SD(a/q, b, t) x C_q and is offered by the products."""
     if bound < 1:
         raise InputError(f"census bound must be >= 1, got {bound}")
     if bound > CENSUS_CAP:
@@ -169,33 +177,41 @@ def census_universe(bound: int) -> tuple[int, list[LeinsterReport], list[int]]:
             _offer(pool, 2, report_from_orders(f"Dic{n // 4}", n, dicyclic_normal_orders(n // 4)))
         for rep in named.get(n, ()):
             _offer(pool, 3, rep)
-        if is_squarefree(n):
+        squarefree = is_squarefree(n)
+        if squarefree:
             descs = enumerate_squarefree(n)
             # the squarefree enumeration must agree with Holder's count
             if len(descs) != holder_count(n):
                 holder_mismatch.append(n)
             for d in descs:
-                _offer(pool, 4, analyze_descriptor(d))
-        for a, b, t in _split_metacyclic_specs(n):
-            _offer(pool, 6, analyze_split_metacyclic(a, b, t))
+                if d.b > 1:  # b = 1 is C{n}
+                    _offer(pool, 4, analyze_descriptor(d))
+        else:
+            for a, b, t in _split_metacyclic_specs(n):
+                # a twist fixing a prime power q || a makes the spec
+                # SD(a/q, b, t) x C_q, whose fingerprint the products offer
+                if all(t % p**k != 1 for p, k in factorize(a)):
+                    _offer(pool, 6, analyze_split_metacyclic(a, b, t))
         if 2 * n <= bound:
             factors[n] = [rep for _, _, rep in pool.values()]
 
         # coprime products (cyclic factors go last in the label); these rank
-        # above the squarefree and raw split-metacyclic labels so that e.g.
-        # the Dic7xC13 name wins over an isomorphic SD(...) presentation
-        for o1 in divisors(n):
+        # below the squarefree descriptors, which is why none is built at a
+        # squarefree order, and above the raw split-metacyclic labels, so
+        # that e.g. the Dic7xC13 name wins over an isomorphic SD(...)
+        for o1 in () if squarefree else divisors(n):
             o2 = n // o1
             if o1 >= o2:
                 break
             if o1 == 1 or math.gcd(o1, o2) != 1:
                 continue
             for r1 in factors[o1]:
+                c1 = _is_cyclic_report(r1)
                 for r2 in factors[o2]:
-                    if _is_cyclic_report(r1) and not _is_cyclic_report(r2):
-                        _offer(pool, 5, analyze_coprime_product(r2, r1))
-                    else:
+                    if not c1:
                         _offer(pool, 5, analyze_coprime_product(r1, r2))
+                    elif not _is_cyclic_report(r2):  # C{o1}xC{o2} is C{n}
+                        _offer(pool, 5, analyze_coprime_product(r2, r1))
 
         size += len(pool)
         hits += sorted((rep for _, _, rep in pool.values() if rep.is_leinster), key=lambda r: r.label)

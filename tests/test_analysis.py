@@ -52,6 +52,10 @@ class TestStructuralPaths:
         for n in (1, 2, 12, 28, 60):
             assert analyze_cyclic(n).normal_orders == rep(f"C{n}").normal_orders
 
+    def test_cyclic_path_matches_split_metacyclic_formula(self):
+        for n in range(1, 2001):
+            assert analyze_cyclic(n) == analyze_split_metacyclic(n, 1, 1, label=f"C{n}"), n
+
     def test_descriptor_path(self):
         d = MetacyclicDescriptor(15, 2, 11)
         assert analyze_descriptor(d).normal_orders == rep("S3xC5").normal_orders

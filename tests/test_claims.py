@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -23,10 +24,18 @@ from leinster.claims import (
     p2qr_candidates,
     pqrs_orders,
 )
-from leinster.analysis import LeinsterReport, analyze
+from leinster.analysis import (
+    LeinsterReport,
+    analyze,
+    analyze_coprime_product,
+    analyze_cyclic,
+    analyze_descriptor,
+    analyze_split_metacyclic,
+)
 from leinster.constructors import build
 from leinster.errors import InputError
-from leinster.numtheory import BOUNDS
+from leinster.numtheory import BOUNDS, divisors, factorize, is_squarefree
+from leinster.squarefree import MetacyclicDescriptor, enumerate_squarefree
 
 
 class TestCensus:
@@ -80,6 +89,48 @@ class TestCensus:
             brute = split_metacyclic_specs_bruteforce(bound)
             for n in range(2, bound + 1):
                 assert _split_metacyclic_specs(n) == [s for s in brute if s[0] * s[1] == n], n
+
+    def test_skipped_offers_cannot_win(self):
+        # the premise of each offer census_universe does not build, n <= 2000
+        fps = {}  # descriptor fingerprints by squarefree order
+        for n in range(2, 2001):
+            if not is_squarefree(n):
+                continue
+            fps[n] = {analyze_descriptor(d).normal_orders for d in enumerate_squarefree(n)}
+            # the cyclic descriptor is C{n}
+            assert analyze_descriptor(MetacyclicDescriptor(n, 1, 1)) == analyze_cyclic(n)
+            # every spec of squarefree order is one of the descriptors
+            for a, b, t in _split_metacyclic_specs(n):
+                assert analyze_split_metacyclic(a, b, t).normal_orders in fps[n], (a, b, t)
+            if n % 2 == 0 and n >= 4:
+                assert tuple(dihedral_normal_orders(n // 2)) in fps[n], n
+            # and so is every coprime product of two of them
+            for o1 in divisors(n):
+                o2 = n // o1
+                if 1 < o1 < o2:
+                    for f1 in fps[o1]:
+                        for f2 in fps[o2]:
+                            prod = tuple(sorted(m1 * m2 for m1 in f1 for m2 in f2))
+                            assert prod in fps[n], (o1, o2)
+        for n in range(2, 2001):
+            # C{o1}xC{o2} with coprime orders is C{n}
+            for o1 in divisors(n):
+                o2 = n // o1
+                if 1 < o1 < o2 and math.gcd(o1, o2) == 1:
+                    prod = analyze_coprime_product(analyze_cyclic(o1), analyze_cyclic(o2))
+                    assert prod.normal_orders == analyze_cyclic(n).normal_orders
+            if is_squarefree(n):
+                continue
+            # a twist fixing a prime power q || a splits off C_q; so does the
+            # product Q of all of them, and SD(a/Q, b, t) then fixes none, so
+            # it is offered at order n/Q
+            for a, b, t in _split_metacyclic_specs(n):
+                spec = analyze_split_metacyclic(a, b, t).normal_orders
+                fixed = [p**k for p, k in factorize(a) if t % p**k == 1]
+                for q in fixed + [math.prod(fixed)]:
+                    h = analyze_split_metacyclic(a // q, b, t % (a // q))
+                    prod = analyze_coprime_product(h, analyze_cyclic(q))
+                    assert prod.normal_orders == spec, (a, b, t, q)
 
     def test_holder_mismatch_makes_census_partial(self, monkeypatch):
         assert "holder_mismatch" not in cmd_census(60).evidence
