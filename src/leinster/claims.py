@@ -45,6 +45,7 @@ from .numtheory import (
     check_bound,
     divisors,
     factorize,
+    is_perfect,
     is_prime,
     is_squarefree,
     prime_factors,
@@ -500,7 +501,7 @@ def _is_cyclic(G: GroupTable) -> bool:
     return bool((_element_orders(G) == G.order).any())
 
 
-def claim_multiplicativity(corpus: list[GroupTable], min_pairs: int = 50) -> ClaimResult:
+def claim_multiplicativity(corpus: list[GroupTable]) -> ClaimResult:
     def run() -> ClaimResult:
         pairs = []
         small = [g for g in corpus if 1 < g.order <= 60]
@@ -509,7 +510,7 @@ def claim_multiplicativity(corpus: list[GroupTable], min_pairs: int = 50) -> Cla
                 g1, g2 = small[i], small[j]
                 if math.gcd(g1.order, g2.order) == 1 and g1.order * g2.order <= 600:
                     pairs.append((g1, g2))
-        pairs = pairs[: max(min_pairs, 60)]
+        pairs = pairs[:60]
         failures = []
         for g1, g2 in pairs:
             direct = analyze(direct_product(g1, g2))
@@ -523,7 +524,7 @@ def claim_multiplicativity(corpus: list[GroupTable], min_pairs: int = 50) -> Cla
         if failures:
             status = "refuted"
         else:
-            status = "verified" if len(pairs) >= min_pairs else "partial"
+            status = "verified" if len(pairs) >= 50 else "partial"
         return ClaimResult(
             claim_id="thm-sigma-tau-multiplicative",
             status=status,
@@ -665,10 +666,9 @@ def claim_tau_gt_7(census_hits: list[LeinsterReport]) -> ClaimResult:
     return _timed(run)
 
 
-def claim_cyclic_perfect(bound: int = 10000) -> ClaimResult:
+def claim_cyclic_perfect() -> ClaimResult:
     def run() -> ClaimResult:
-        from .numtheory import is_perfect
-
+        bound = 10000
         failures = [
             n
             for n in range(1, bound + 1)
@@ -780,8 +780,7 @@ def cmd_verify_theorems(corpus_bound: int = 200) -> list[ClaimResult]:
         # checked before building: every corpus group gets a Cayley table
         raise CapacityError(f"corpus bound {corpus_bound} exceeds the engine capacity {TABLE_CAP}")
     corpus = corpus_groups(corpus_bound)
-    census = cmd_census(400)
-    hits = [LeinsterReport.from_json(h) for h in census.evidence["hits"]]
+    _, hits, _ = census_universe(400)
     results = [
         claim_multiplicativity(corpus),
         claim_prime_index_abelian(corpus),

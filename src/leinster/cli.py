@@ -27,7 +27,6 @@ from .errors import CapacityError, InputError
 def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("json", "text"), default="text")
     sub.add_argument("--out", metavar="FILE", default=None)
-    sub.add_argument("--jobs", type=int, default=1, metavar="K")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,6 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
         "pqrs", help="check all groups of squarefree 4-prime order up to a bound"
     )
     p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--jobs", type=int, default=1, metavar="K")
     _common_flags(p)
 
     p = subs.add_parser(
@@ -104,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)
 
-    if args.jobs < 1:
+    if args.command == "pqrs" and args.jobs < 1:
         print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return 2
     if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):

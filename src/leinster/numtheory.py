@@ -7,11 +7,12 @@ Everything here is exact arithmetic; no floats anywhere.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 from .errors import InputError
 
@@ -141,24 +142,32 @@ def order_is_exactly(t: int, a: int, b: int) -> bool:
 
 @dataclass(frozen=True)
 class EquationSpec:
-    """A prime-variable equation with a solved form for one variable.
+    """A prime-variable equation with a solved form for its last variable.
 
-    ``solved`` maps the free variables to (numerator, denominator) of the
-    dependent variable; the value is admissible only when the denominator is
-    strictly positive and divides the numerator.  ``unreduced`` is the
-    original relation before solving, used by the brute-force oracle.
-    ``chain`` lists every variable (fixed, free, dependent) in the strict
-    ascending order the primes must satisfy.
+    ``chain`` lists every variable in the strict ascending order the primes
+    must satisfy: the ``fixed`` ones first, then the free ones, and last the
+    dependent one.  Both callables take their variables positionally, in
+    ``chain`` order.  ``solved`` takes ``chain[:-1]`` and returns (numerator,
+    denominator) of the dependent variable; the value is admissible only when
+    the denominator is strictly positive and divides the numerator.
+    ``unreduced`` takes all of ``chain`` and is the original relation before
+    solving, used by the brute-force oracle.
     """
 
     id: str
     fixed: tuple[tuple[str, int], ...]
-    free: tuple[str, ...]
-    dependent: str
     chain: tuple[str, ...]
     solved: Callable[..., tuple[int, int]]
     unreduced: Callable[..., bool]
     note: str = ""
+
+    @property
+    def free(self) -> tuple[str, ...]:
+        return self.chain[len(self.fixed) : -1]
+
+    @property
+    def dependent(self) -> str:
+        return self.chain[-1]
 
 
 def _check_bounds(eq: EquationSpec, bounds: dict[str, int]) -> None:
@@ -174,8 +183,7 @@ def _check_bounds(eq: EquationSpec, bounds: dict[str, int]) -> None:
             raise InputError(f"bound for {name!r} must admit at least one prime")
 
 
-def _chain_ok(eq: EquationSpec, values: dict[str, int]) -> bool:
-    seq = [values[name] for name in eq.chain]
+def _ascending(seq: tuple[int, ...]) -> bool:
     return all(a < b for a, b in zip(seq, seq[1:]))
 
 
@@ -185,57 +193,30 @@ def scan_equation(eq: EquationSpec, bounds: dict[str, int]) -> list[tuple[int, .
     Exact arithmetic throughout; result sorted lexicographically.
     """
     _check_bounds(eq, bounds)
-    fixed = dict(eq.fixed)
-    prime_pool = {name: primes_upto(bounds[name]) for name in eq.free}
+    fixed = tuple(value for _, value in eq.fixed)
+    top = bounds[eq.dependent]
     hits = []
-
-    def rec(idx: int, values: dict[str, int]) -> None:
-        if idx == len(eq.free):
-            num, den = eq.solved(**{n: values[n] for n in values})
-            if den <= 0 or num <= 0 or num % den != 0:
-                return
-            dep = num // den
-            if dep > bounds[eq.dependent] or not is_prime(dep):
-                return
-            full = dict(values)
-            full[eq.dependent] = dep
-            full.update(fixed)
-            if not _chain_ok(eq, full):
-                return
-            hits.append(tuple(full[n] for n in eq.free + (eq.dependent,)))
-            return
-        name = eq.free[idx]
-        for p in prime_pool[name]:
-            nxt = dict(values)
-            nxt[name] = p
-            rec(idx + 1, nxt)
-
-    rec(0, dict(fixed))
+    for free in itertools.product(*(primes_upto(bounds[name]) for name in eq.free)):
+        num, den = eq.solved(*fixed, *free)
+        if den <= 0 or num <= 0 or num % den != 0:
+            continue
+        dep = num // den
+        if dep <= top and is_prime(dep) and _ascending(fixed + free + (dep,)):
+            hits.append(free + (dep,))
     return sorted(hits)
 
 
 def scan_equation_bruteforce(eq: EquationSpec, bounds: dict[str, int]) -> list[tuple[int, ...]]:
-    """Independent oracle: test every prime tuple against the unreduced form."""
+    """Independent oracle: every strictly ascending prime tuple within bounds
+    tested against the unreduced relation; the solved form is never used."""
     _check_bounds(eq, bounds)
-    fixed = dict(eq.fixed)
-    names = eq.free + (eq.dependent,)
-    pools = [primes_upto(bounds[n]) for n in names]
-    hits = []
-
-    def rec(idx: int, values: dict[str, int]) -> None:
-        if idx == len(names):
-            if _chain_ok(eq, values) and eq.unreduced(
-                **{n: values[n] for n in values if n in names or n in fixed}
-            ):
-                hits.append(tuple(values[n] for n in names))
-            return
-        for p in pools[idx]:
-            nxt = dict(values)
-            nxt[names[idx]] = p
-            rec(idx + 1, nxt)
-
-    rec(0, dict(fixed))
-    return sorted(hits)
+    fixed = tuple(value for _, value in eq.fixed)
+    pools = [primes_upto(bounds[name]) for name in eq.free + (eq.dependent,)]
+    return sorted(
+        tup
+        for tup in itertools.product(*pools)
+        if _ascending(fixed + tup) and eq.unreduced(*fixed, *tup)
+    )
 
 
 def _build_equations() -> dict[str, EquationSpec]:
@@ -243,8 +224,6 @@ def _build_equations() -> dict[str, EquationSpec]:
         EquationSpec(
             id="lemma23",
             fixed=(),
-            free=("p", "q"),
-            dependent="r",
             chain=("p", "q", "r"),
             solved=lambda p, q: (1 + (p + 1) * q, q * (p * p - p - 1) - (p + 1)),
             unreduced=lambda p, q, r: p * p * q * r
@@ -254,8 +233,6 @@ def _build_equations() -> dict[str, EquationSpec]:
         EquationSpec(
             id="lemma24",
             fixed=(),
-            free=("p", "q"),
-            dependent="r",
             chain=("p", "q", "r"),
             # The unreduced form is the cross-multiplication of the solved
             # form itself, so the oracle checks the same relation.
@@ -267,8 +244,6 @@ def _build_equations() -> dict[str, EquationSpec]:
         EquationSpec(
             id="thm26-noP-a",
             fixed=(),
-            free=("p", "q"),
-            dependent="r",
             chain=("p", "q", "r"),
             solved=lambda p, q: (
                 p * p * q + p * q + q + 1,
@@ -281,8 +256,6 @@ def _build_equations() -> dict[str, EquationSpec]:
         EquationSpec(
             id="thm26-noP-b",
             fixed=(),
-            free=("p", "q"),
-            dependent="r",
             chain=("p", "q", "r"),
             solved=lambda p, q: (p * p * q + p * q + q + 1, p * p * q - p * q - q - 1),
             unreduced=lambda p, q, r: p * p * q * r
@@ -292,8 +265,6 @@ def _build_equations() -> dict[str, EquationSpec]:
         EquationSpec(
             id="thm26-final",
             fixed=(("p", 2),),
-            free=("q",),
-            dependent="r",
             chain=("p", "q", "r"),
             solved=lambda p, q: (7 * q + 3, q - 3),
             unreduced=lambda p, q, r: q * r == 3 + 7 * q + 3 * r,
@@ -302,8 +273,6 @@ def _build_equations() -> dict[str, EquationSpec]:
         EquationSpec(
             id="rem37-s1",
             fixed=(("p", 2),),
-            free=("q", "r"),
-            dependent="s",
             chain=("p", "q", "r", "s"),
             solved=lambda p, q, r: (1 + r + 3 * q + 3 * q * r, q * r - 3 * q),
             unreduced=lambda p, q, r, s: s * (q * r - 3 * q) == 1 + r + 3 * q + 3 * q * r,
@@ -312,8 +281,6 @@ def _build_equations() -> dict[str, EquationSpec]:
         EquationSpec(
             id="rem37-s2",
             fixed=(("p", 2),),
-            free=("q", "r"),
-            dependent="s",
             chain=("p", "q", "r", "s"),
             solved=lambda p, q, r: (1 + 3 * r + 3 * q * r, q * r - 3 * r - 1),
             unreduced=lambda p, q, r, s: s * (q * r - 3 * r - 1)

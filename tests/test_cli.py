@@ -81,7 +81,9 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "flag", [["--cache", "c.jsonl"], ["--no-cache"]], ids=["cache", "no-cache"]
+        "flag",
+        [["--cache", "c.jsonl"], ["--no-cache"], ["--jobs", "2"]],
+        ids=["cache", "no-cache", "jobs"],
     )
     def test_removed_cache_flags_are_usage_errors(self, flag, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -1,5 +1,9 @@
+import dataclasses
+import inspect
+
 import pytest
 
+from leinster.claims import EQUATION_CLAIMS, claim_equation
 from leinster.errors import InputError
 from leinster.numtheory import (
     BOUNDS,
@@ -102,6 +106,34 @@ class TestEquationScanning:
         eq = get_equation("thm26-noP-a")
         for p, q, r in scan_equation(eq, {"p": 50, "q": 200, "r": 2000}):
             assert p < q < r
+
+    @pytest.mark.parametrize("eq_id", sorted(EQUATIONS))
+    def test_oracle_never_calls_solved_form(self, eq_id):
+        def solved(*args):
+            raise AssertionError("the oracle called the solved form")
+
+        eq = get_equation(eq_id)
+        bounds = EQUATION_CLAIMS[eq_id]["oracle_bounds"]
+        blind = dataclasses.replace(eq, solved=solved)
+        assert scan_equation_bruteforce(blind, bounds) == scan_equation(eq, bounds)
+
+    def test_wrong_solved_form_is_refuted_by_oracle(self, monkeypatch):
+        # q*r = 3 + 7q + 3r solved wrongly for r; the unreduced relation
+        # still has the solutions (5, 19) and (7, 13)
+        eq = get_equation("thm26-final")
+        wrong = dataclasses.replace(eq, solved=lambda p, q: (7 * q + 4, q - 3))
+        monkeypatch.setitem(EQUATIONS, "thm26-final", wrong)
+        res = claim_equation("thm26-final")
+        assert res.status == "refuted"
+        assert res.evidence["oracle_agrees"] is False
+        assert res.evidence["solutions"] != res.evidence["expected"]
+
+    @pytest.mark.parametrize("eq_id", sorted(EQUATIONS))
+    def test_callables_take_chain_positionally(self, eq_id):
+        eq = get_equation(eq_id)
+        assert eq.chain[: len(eq.fixed)] == tuple(name for name, _ in eq.fixed)
+        assert tuple(inspect.signature(eq.solved).parameters) == eq.chain[:-1]
+        assert tuple(inspect.signature(eq.unreduced).parameters) == eq.chain
 
 
 class TestFractionBounds:
