@@ -7,12 +7,13 @@ iteration orders are fixed so repeated runs produce identical reports.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import time
-import weakref
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -452,42 +453,50 @@ def cmd_verify_p2qr(prime_bound: int) -> ClaimResult:
 # Theorem property suites
 # ---------------------------------------------------------------------------
 
-def corpus_groups(corpus_bound: int) -> list[GroupTable]:
-    """The property-suite corpus: every squarefree-order group up to the
-    bound, realized explicitly, plus the named families."""
+def corpus_groups(corpus_bound: int) -> Iterator[GroupTable]:
+    """The property-suite corpus, one group at a time: every squarefree-order
+    group up to the bound, realized explicitly, then the named families."""
     from .squarefree import realize
 
-    groups: list[GroupTable] = []
     for n in range(1, corpus_bound + 1):
         if is_squarefree(n):
-            groups.extend(realize(d) for d in enumerate_squarefree(n))
+            yield from map(realize, enumerate_squarefree(n))
     for label in NAMED_FAMILY_LABELS:
-        groups.append(constructors.build(label))
-    return groups
+        yield constructors.build(label)
 
 
-# one memo per corpus group, kept as long as the group: the suites below
-# revisit the same groups, and two of them need the derived subgroup
-_MEMO: weakref.WeakKeyDictionary[GroupTable, dict] = weakref.WeakKeyDictionary()
+class _Facts:
+    """What the suites share about one corpus group, each computed at most
+    once, by the first suite that asks."""
+
+    def __init__(self, G: GroupTable):
+        self.G = G
+
+    @cached_property
+    def normals(self) -> list[ElementSet]:
+        return normal_subgroups(self.G)
+
+    @cached_property
+    def derived(self) -> ElementSet:
+        return derived_subgroup(self.G)
 
 
-def _memo(G: GroupTable, key: str, compute: Callable):
-    facts = _MEMO.setdefault(G, {})
-    if key not in facts:
-        facts[key] = compute(G)
-    return facts[key]
-
-
-def _normals(G: GroupTable) -> list[ElementSet]:
-    return _memo(G, "normals", normal_subgroups)
-
-
-def _derived(G: GroupTable) -> ElementSet:
-    return _memo(G, "derived", derived_subgroup)
-
-
-def _report(G: GroupTable) -> LeinsterReport:
-    return report_from_orders(G.label, G.order, [N.size for N in _normals(G)])
+def _walk(groups: Iterable[GroupTable], suites: list) -> list[ClaimResult]:
+    """One pass over the groups, offering each to every suite's step.  The
+    walk lets go of a group once the next one is drawn; only a suite's own
+    state may keep it.  A claim's elapsed_ms is the time of its own steps
+    and result."""
+    spent = [0.0] * len(suites)
+    for G in groups:
+        facts = _Facts(G)
+        for i, suite in enumerate(suites):
+            t0 = time.monotonic()
+            suite.step(facts)
+            spent[i] += time.monotonic() - t0
+    results = [_timed(suite.result) for suite in suites]
+    for res, s in zip(results, spent):
+        res.elapsed_ms += int(s * 1000)
+    return results
 
 
 def _is_abelian_subset(G: GroupTable, ids: list[int]) -> bool:
@@ -501,26 +510,30 @@ def _is_cyclic(G: GroupTable) -> bool:
     return bool((_element_orders(G) == G.order).any())
 
 
-def claim_multiplicativity(corpus: list[GroupTable]) -> ClaimResult:
-    def run() -> ClaimResult:
-        pairs = []
-        small = [g for g in corpus if 1 < g.order <= 60]
-        for i in range(len(small)):
-            for j in range(i + 1, len(small)):
-                g1, g2 = small[i], small[j]
-                if math.gcd(g1.order, g2.order) == 1 and g1.order * g2.order <= 600:
-                    pairs.append((g1, g2))
-        pairs = pairs[:60]
+class _Multiplicativity:
+    """Keeps the groups of order 2..60 as the walk passes them, then checks
+    the first 60 coprime pairs among them on the engine."""
+
+    def __init__(self) -> None:
+        self.small: list[_Facts] = []
+
+    def step(self, facts: _Facts) -> None:
+        if 1 < facts.G.order <= 60:
+            self.small.append(facts)
+
+    def result(self) -> ClaimResult:
+        pairs = [
+            (f1, f2)
+            for f1, f2 in itertools.combinations(self.small, 2)
+            if math.gcd(f1.G.order, f2.G.order) == 1 and f1.G.order * f2.G.order <= 600
+        ][:60]
         failures = []
-        for g1, g2 in pairs:
-            direct = analyze(direct_product(g1, g2))
-            structural = analyze_coprime_product(_report(g1), _report(g2))
-            if (direct.sigma, direct.tau, direct.normal_orders) != (
-                structural.sigma,
-                structural.tau,
-                structural.normal_orders,
-            ):
-                failures.append((g1.label, g2.label))
+        for f1, f2 in pairs:
+            r1, r2 = (report_from_orders(f.G.label, f.G.order, [N.size for N in f.normals]) for f in (f1, f2))
+            direct = analyze(direct_product(f1.G, f2.G))
+            # sigma and tau are read off the normal orders, so these decide all three
+            if direct.normal_orders != analyze_coprime_product(r1, r2).normal_orders:
+                failures.append((f1.G.label, f2.G.label))
         if failures:
             status = "refuted"
         else:
@@ -532,97 +545,103 @@ def claim_multiplicativity(corpus: list[GroupTable]) -> ClaimResult:
             evidence={"pairs_checked": len(pairs), "failures": failures},
         )
 
-    return _timed(run)
+
+class _Counting:
+    """A suite that counts the instances its steps check and lists their
+    failures in corpus order; a subclass sets claim_id, statement and
+    count_key and defines step."""
+
+    def __init__(self) -> None:
+        self.checked = 0
+        self.failures: list = []
+
+    def result(self) -> ClaimResult:
+        return ClaimResult(
+            claim_id=self.claim_id,
+            status=_status(self.failures, self.checked),
+            statement=self.statement,
+            evidence={self.count_key: self.checked, "failures": self.failures},
+        )
 
 
-def claim_prime_index_abelian(corpus: list[GroupTable]) -> ClaimResult:
-    def run() -> ClaimResult:
-        checked = 0
-        failures = []
-        for G in corpus:
-            z = center(G).size
-            if z == G.order:
-                continue  # the identity below requires a non-abelian group
-            subs = _normals(G)
-            d = _derived(G).size
-            for N in subs:
-                if N.size == G.order:
-                    continue
-                idx = G.order // N.size
-                if not is_prime(idx):
-                    continue
-                if not _is_abelian_subset(G, N.to_ids()):
-                    continue
-                checked += 1
+class _PrimeIndexAbelian(_Counting):
+    claim_id = "thm-prime-index-abelian"
+    statement = (
+        "a non-abelian group with an abelian normal subgroup of prime "
+        "index p has |G| = p * |derived subgroup| * |center|"
+    )
+    count_key = "instances_checked"
+
+    def step(self, facts: _Facts) -> None:
+        G = facts.G
+        z = center(G).size
+        if z == G.order:
+            return  # the identity below requires a non-abelian group
+        d = facts.derived.size
+        for N in facts.normals:
+            idx = G.order // N.size  # 1 for N = G, which is not prime
+            if is_prime(idx) and _is_abelian_subset(G, N.to_ids()):
+                self.checked += 1
                 if G.order != idx * d * z:
-                    failures.append(G.label)
-        return ClaimResult(
-            claim_id="thm-prime-index-abelian",
-            status=_status(failures, checked),
-            statement=(
-                "a non-abelian group with an abelian normal subgroup of prime "
-                "index p has |G| = p * |derived subgroup| * |center|"
-            ),
-            evidence={"instances_checked": checked, "failures": failures},
-        )
-
-    return _timed(run)
+                    self.failures.append(G.label)
 
 
-def claim_normal_complement(corpus: list[GroupTable]) -> ClaimResult:
-    def run() -> ClaimResult:
-        checked = 0
-        failures = []
-        for G in corpus:
-            if G.order == 1:
-                continue
-            p = prime_factors(G.order)[0]
-            syl = sylow(G, p)
-            if not any(G.element_order(g) == syl.size for g in syl.to_ids()):
-                continue  # Sylow subgroup not cyclic
-            checked += 1
-            complement_order = G.order // syl.size
-            orders = {N.size for N in _normals(G)}
-            if complement_order not in orders:
-                failures.append(G.label)
-        return ClaimResult(
-            claim_id="thm-normal-complement",
-            status=_status(failures, checked),
-            statement=(
-                "a cyclic Sylow subgroup at the smallest prime divisor has a "
-                "normal complement"
-            ),
-            evidence={"instances_checked": checked, "failures": failures},
-        )
+class _NormalComplement(_Counting):
+    claim_id = "thm-normal-complement"
+    statement = "a cyclic Sylow subgroup at the smallest prime divisor has a normal complement"
+    count_key = "instances_checked"
 
-    return _timed(run)
+    def step(self, facts: _Facts) -> None:
+        G = facts.G
+        if G.order == 1:
+            return
+        p = prime_factors(G.order)[0]
+        syl = sylow(G, p)
+        if not any(G.element_order(g) == syl.size for g in syl.to_ids()):
+            return  # Sylow subgroup not cyclic
+        self.checked += 1
+        if G.order // syl.size not in {N.size for N in facts.normals}:
+            self.failures.append(G.label)
 
 
-def claim_cyclic_quotients(corpus: list[GroupTable]) -> ClaimResult:
-    def run() -> ClaimResult:
-        checked = 0
-        failures = []
-        for G in corpus:
-            if sum(N.size for N in _normals(G)) > 2 * G.order:
-                continue
-            dsub = _derived(G)
-            for N in _normals(G):
-                if not dsub.members <= N.members:
-                    continue
-                Q = quotient(G, N)
-                checked += 1
-                if not _is_cyclic(Q):
-                    failures.append((G.label, N.size))
-        return ClaimResult(
-            claim_id="thm-cyclic-quotient",
-            status=_status(failures, checked),
-            statement=(
-                "when sigma(G) <= 2|G|, every abelian quotient of G is cyclic"
-            ),
-            evidence={"quotients_checked": checked, "failures": failures},
-        )
+class _CyclicQuotients(_Counting):
+    claim_id = "thm-cyclic-quotient"
+    statement = "when sigma(G) <= 2|G|, every abelian quotient of G is cyclic"
+    count_key = "quotients_checked"
 
-    return _timed(run)
+    def step(self, facts: _Facts) -> None:
+        G = facts.G
+        if sum(N.size for N in facts.normals) > 2 * G.order:
+            return
+        dsub = facts.derived
+        for N in facts.normals:
+            if dsub.members <= N.members:
+                self.checked += 1
+                if not _is_cyclic(quotient(G, N)):
+                    self.failures.append((G.label, N.size))
+
+
+def property_suites(groups: Iterable[GroupTable]) -> list[ClaimResult]:
+    """The four theorem property suites in one pass over the groups, which
+    may be a generator: multiplicativity, prime-index abelian, normal
+    complement, cyclic quotients."""
+    return _walk(groups, [_Multiplicativity(), _PrimeIndexAbelian(), _NormalComplement(), _CyclicQuotients()])
+
+
+def claim_multiplicativity(corpus: Iterable[GroupTable]) -> ClaimResult:
+    return _walk(corpus, [_Multiplicativity()])[0]
+
+
+def claim_prime_index_abelian(corpus: Iterable[GroupTable]) -> ClaimResult:
+    return _walk(corpus, [_PrimeIndexAbelian()])[0]
+
+
+def claim_normal_complement(corpus: Iterable[GroupTable]) -> ClaimResult:
+    return _walk(corpus, [_NormalComplement()])[0]
+
+
+def claim_cyclic_quotients(corpus: Iterable[GroupTable]) -> ClaimResult:
+    return _walk(corpus, [_CyclicQuotients()])[0]
 
 
 def claim_odd_normal_parity(census_hits: list[LeinsterReport]) -> ClaimResult:
@@ -779,13 +798,9 @@ def cmd_verify_theorems(corpus_bound: int = 200) -> list[ClaimResult]:
     if corpus_bound > TABLE_CAP:
         # checked before building: every corpus group gets a Cayley table
         raise CapacityError(f"corpus bound {corpus_bound} exceeds the engine capacity {TABLE_CAP}")
-    corpus = corpus_groups(corpus_bound)
+    results = property_suites(corpus_groups(corpus_bound))
     _, hits, _ = census_universe(400)
-    results = [
-        claim_multiplicativity(corpus),
-        claim_prime_index_abelian(corpus),
-        claim_normal_complement(corpus),
-        claim_cyclic_quotients(corpus),
+    results += [
         claim_odd_normal_parity(hits),
         claim_tau_gt_7(hits),
         claim_cyclic_perfect(),

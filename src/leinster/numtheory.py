@@ -31,7 +31,7 @@ def primes_upto(n: int) -> list[int]:
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i in range(2, n + 1) if sieve[i]]
+    return list(itertools.compress(range(n + 1), sieve))
 
 
 def is_prime(n: int) -> bool:

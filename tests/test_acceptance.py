@@ -7,20 +7,16 @@ and enforces the advertised wall-clock budget where one applies.
 import json
 import time
 
-import pytest
-
 from leinster import constructors as con
 from leinster.analysis import analyze
 from leinster.claims import (
-    claim_cyclic_quotients,
-    claim_multiplicativity,
-    claim_normal_complement,
     claim_odd_normal_parity,
-    claim_prime_index_abelian,
     cmd_census,
     corpus_groups,
+    property_suites,
 )
 from leinster.cli import main
+from leinster.groups import normal_subgroups
 from leinster.numtheory import (
     BOUNDS,
     check_bound,
@@ -34,11 +30,6 @@ from leinster.squarefree import (
     enumerate_squarefree,
     holder_count,
 )
-
-
-@pytest.fixture(scope="module")
-def corpus600():
-    return corpus_groups(600)
 
 
 def test_criterion_1_census_bound_400():
@@ -126,18 +117,18 @@ def test_criterion_5_fraction_bounds():
     print(f"PASS criterion 5: all {len(BOUNDS)} fraction bounds strictly < 1 (exact)")
 
 
-def test_criterion_6_property_suites(corpus600):
+def test_criterion_6_property_suites():
     """Theorem property suites on all squarefree groups <= 600 plus named families."""
-    mult = claim_multiplicativity(corpus600)
+    mult, *others = property_suites(corpus_groups(600))
     assert mult.status == "verified"
     assert mult.evidence["pairs_checked"] >= 50
 
-    for claim_fn in (
-        claim_prime_index_abelian,
-        claim_normal_complement,
-        claim_cyclic_quotients,
-    ):
-        res = claim_fn(corpus600)
+    assert [res.claim_id for res in others] == [
+        "thm-prime-index-abelian",
+        "thm-normal-complement",
+        "thm-cyclic-quotient",
+    ]
+    for res in others:
         assert res.status == "verified", res.claim_id
         assert res.evidence["failures"] == []
 
@@ -147,14 +138,12 @@ def test_criterion_6_property_suites(corpus600):
     parity = claim_odd_normal_parity(hits)
     assert parity.status == "verified"
     assert parity.evidence["groups_checked"] >= 8
-    print(f"PASS criterion 6: property suites on {len(corpus600)} corpus groups")
+    print("PASS criterion 6: property suites on the corpus up to order 600")
 
 
-def test_criterion_7_oracle_equivalence(corpus600):
+def test_criterion_7_oracle_equivalence():
     """Structural fast path equals the engine for all squarefree groups <= 600;
     enumeration counts equal the counting formula for all squarefree n <= 2500."""
-    from leinster.claims import _normals
-
     descriptors = [
         d
         for n in range(1, 601)
@@ -162,12 +151,11 @@ def test_criterion_7_oracle_equivalence(corpus600):
         for d in enumerate_squarefree(n)
     ]
     # corpus_groups realizes exactly these descriptors, in this order, before
-    # appending the named families
-    realized = corpus600[: len(descriptors)]
+    # the named families
     checked = 0
-    for d, G in zip(descriptors, realized):
+    for d, G in zip(descriptors, corpus_groups(600)):
         assert G.order == d.order
-        engine = sorted(N.size for N in _normals(G))
+        engine = sorted(N.size for N in normal_subgroups(G))
         assert engine == descriptor_normal_orders(d), d
         checked += 1
     assert checked == sum(

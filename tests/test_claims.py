@@ -1,5 +1,6 @@
 import json
 import math
+import weakref
 
 import pytest
 
@@ -327,16 +328,8 @@ class TestTheoremClaims:
             (claims, "derived_subgroup"),
         ):
             monkeypatch.setattr(module, name, counting(module, name))
-        corpus = corpus_groups(60)
-        results = [
-            suite(corpus)
-            for suite in (
-                claims.claim_multiplicativity,
-                claims.claim_prime_index_abelian,
-                claims.claim_normal_complement,
-                claims.claim_cyclic_quotients,
-            )
-        ]
+        corpus = list(corpus_groups(60))
+        results = claims.property_suites(corpus)
         assert all(res.status == "verified" for res in results)
         for name, groups in calls.items():
             assert len({id(G) for G in groups}) == len(groups), name
@@ -346,6 +339,36 @@ class TestTheoremClaims:
         pairs = results[0].evidence["pairs_checked"]
         assert len(calls["normal_subgroups"]) == len(corpus) + pairs
         assert calls["derived_subgroup"]
+
+    def test_theorems_stream_the_corpus(self, monkeypatch):
+        # the groups of order <= 60 stay for the multiplicativity pairs; of
+        # the larger ones, only the last group drawn may still be alive
+        real = claims.corpus_groups
+        large = []
+
+        def streaming(bound):
+            for G in real(bound):
+                assert sum(ref() is not None for ref in large) <= 1, G.label
+                if G.order > 60:
+                    large.append(weakref.ref(G))
+                yield G
+
+        monkeypatch.setattr(claims, "corpus_groups", streaming)
+        streamed = cmd_verify_theorems(120)[:4]
+        corpus = list(real(120))
+        assert len(large) == sum(G.order > 60 for G in corpus) > 1
+        one_at_a_time = [
+            suite(corpus)
+            for suite in (
+                claims.claim_multiplicativity,
+                claims.claim_prime_index_abelian,
+                claims.claim_normal_complement,
+                claims.claim_cyclic_quotients,
+            )
+        ]
+        assert [(r.claim_id, r.status, r.evidence) for r in streamed] == [
+            (r.claim_id, r.status, r.evidence) for r in one_at_a_time
+        ]
 
     def test_hits_without_a_four_prime_order_leave_tau_gt_7_partial(self):
         hits = [

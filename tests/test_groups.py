@@ -107,7 +107,7 @@ class TestClosureAndClasses:
         # p is the smallest prime dividing n: a set of n // p elements may
         # still be a proper subgroup, a set of n // p + 1 elements generates G
         index_p = 0
-        for G in corpus_groups(60) + [build(spec) for spec in ORACLE_SPECS]:
+        for G in list(corpus_groups(60)) + [build(spec) for spec in ORACLE_SPECS]:
             n = G.order
             if n == 1:
                 continue
@@ -182,7 +182,7 @@ class TestNormalSubgroups:
 
     def test_matches_pairwise_join_oracle(self):
         more = [realize(d) for n in (210, 330) for d in enumerate_squarefree(n)]
-        for G in corpus_groups(300) + more:
+        for G in list(corpus_groups(300)) + more:
             assert normal_subgroups(G) == normal_subgroups_pairwise(G), G.label
 
     def test_known_lattices(self):
@@ -248,7 +248,7 @@ class TestQuotientSylowProduct:
 class TestElementOrdersAndSylow:
     def test_sweep_matches_scalar_and_permutation_orders(self):
         combinatorics = pytest.importorskip("sympy.combinatorics")
-        for G in corpus_groups(30) + [build(spec) for spec in ORACLE_SPECS]:
+        for G in list(corpus_groups(30)) + [build(spec) for spec in ORACLE_SPECS]:
             orders = _element_orders(G).tolist()
             assert orders == [G.element_order(g) for g in range(G.order)], G.label
             # the order of g is the order of left multiplication by g
@@ -266,7 +266,7 @@ class TestElementOrdersAndSylow:
 
 
 def oracle_corpus():
-    return corpus_groups(120) + [build(spec) for spec in ORACLE_SPECS]
+    return list(corpus_groups(120)) + [build(spec) for spec in ORACLE_SPECS]
 
 
 class TestPrimitivesMatchOracles:
