@@ -30,7 +30,6 @@ from .analysis import (
 from .errors import CapacityError, InputError
 from .groups import (
     TABLE_CAP,
-    ElementSet,
     GroupTable,
     _element_orders,
     center,
@@ -473,11 +472,11 @@ class _Facts:
         self.G = G
 
     @cached_property
-    def normals(self) -> list[ElementSet]:
+    def normals(self) -> list[np.ndarray]:
         return normal_subgroups(self.G)
 
     @cached_property
-    def derived(self) -> ElementSet:
+    def derived(self) -> np.ndarray:
         return derived_subgroup(self.G)
 
 
@@ -499,10 +498,8 @@ def _walk(groups: Iterable[GroupTable], suites: list) -> list[ClaimResult]:
     return results
 
 
-def _is_abelian_subset(G: GroupTable, ids: list[int]) -> bool:
-    t = G.table
-    arr = np.array(ids)
-    sub = t[arr[:, None], arr[None, :]]
+def _is_abelian_subset(G: GroupTable, ids: np.ndarray) -> bool:
+    sub = G.table[np.ix_(ids, ids)]
     return bool((sub == sub.T).all())
 
 
@@ -580,7 +577,7 @@ class _PrimeIndexAbelian(_Counting):
         d = facts.derived.size
         for N in facts.normals:
             idx = G.order // N.size  # 1 for N = G, which is not prime
-            if is_prime(idx) and _is_abelian_subset(G, N.to_ids()):
+            if is_prime(idx) and _is_abelian_subset(G, N):
                 self.checked += 1
                 if G.order != idx * d * z:
                     self.failures.append(G.label)
@@ -597,7 +594,7 @@ class _NormalComplement(_Counting):
             return
         p = prime_factors(G.order)[0]
         syl = sylow(G, p)
-        if not any(G.element_order(g) == syl.size for g in syl.to_ids()):
+        if not any(G.element_order(g) == syl.size for g in syl.tolist()):
             return  # Sylow subgroup not cyclic
         self.checked += 1
         if G.order // syl.size not in {N.size for N in facts.normals}:
@@ -613,9 +610,11 @@ class _CyclicQuotients(_Counting):
         G = facts.G
         if sum(N.size for N in facts.normals) > 2 * G.order:
             return
-        dsub = facts.derived
+        derived = facts.derived
+        in_derived = np.zeros(G.order, dtype=bool)
+        in_derived[derived] = True
         for N in facts.normals:
-            if dsub.members <= N.members:
+            if np.count_nonzero(in_derived[N]) == derived.size:  # G' <= N
                 self.checked += 1
                 if not _is_cyclic(quotient(G, N)):
                     self.failures.append((G.label, N.size))

@@ -3,13 +3,12 @@
 Groups are dense Cayley tables on element ids 0..order-1, up to TABLE_CAP
 elements; building a larger group is a clean CapacityError.  All operations
 are pure and iterate element ids in ascending order, so every result is
-deterministic.
+deterministic.  A subgroup is the strictly ascending int64 array of its ids.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -90,34 +89,6 @@ class GroupTable:
         return f"GroupTable(order={self.order}, label={self.label!r})"
 
 
-@dataclass(frozen=True)
-class ElementSet:
-    """A subset of a group's elements; subgroups are flagged explicitly."""
-
-    parent_order: int
-    members: frozenset[int]
-    is_subgroup: bool = False
-
-    def __post_init__(self):
-        for g in self.members:
-            if not 0 <= g < self.parent_order:
-                raise InputError(
-                    f"element id {g} out of range for order {self.parent_order}"
-                )
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def to_ids(self) -> list[int]:
-        """Canonical serialization: sorted id list."""
-        return sorted(self.members)
-
-
-def element_set(G: GroupTable, ids: Iterable[int], subgroup: bool = False) -> ElementSet:
-    return ElementSet(G.order, frozenset(int(i) for i in ids), subgroup)
-
-
 # ---------------------------------------------------------------------------
 # Closure
 # ---------------------------------------------------------------------------
@@ -144,25 +115,16 @@ def _closure_ids(G: GroupTable, gens: Sequence[int]) -> np.ndarray:
     return np.arange(n)
 
 
-def subgroup_closure(G: GroupTable, gens: ElementSet | Iterable[int]) -> ElementSet:
-    """Smallest subgroup of G containing gens."""
-    ids = gens.to_ids() if isinstance(gens, ElementSet) else [int(g) for g in gens]
-    for g in ids:
-        G._check_id(g)
-    return element_set(G, _closure_ids(G, ids), subgroup=True)
-
-
 # ---------------------------------------------------------------------------
 # Center, derived subgroup
 # ---------------------------------------------------------------------------
 
-def center(G: GroupTable) -> ElementSet:
+def center(G: GroupTable) -> np.ndarray:
     t = G.table
-    central = np.flatnonzero((t == t.T).all(axis=1))
-    return element_set(G, central, subgroup=True)
+    return np.flatnonzero((t == t.T).all(axis=1))
 
 
-def derived_subgroup(G: GroupTable) -> ElementSet:
+def derived_subgroup(G: GroupTable) -> np.ndarray:
     """G' as the normal closure of the commutators of a generating set.
 
     The generators are taken greedily in id order, each outside the closure
@@ -188,7 +150,7 @@ def derived_subgroup(G: GroupTable) -> ElementSet:
         member = np.zeros(G.order, dtype=bool)
         member[t[t[:, sub], inv[:, None]]] = True
         if member.sum() == sub.size:
-            return element_set(G, sub, subgroup=True)
+            return sub
         sub = _closure_ids(G, np.flatnonzero(member))
 
 
@@ -196,25 +158,18 @@ def derived_subgroup(G: GroupTable) -> ElementSet:
 # Normality, normal subgroups, quotients
 # ---------------------------------------------------------------------------
 
-def _left_coset_minima(G: GroupTable, H: ElementSet) -> np.ndarray | None:
-    """min(gH) for every g, or None when H is not normal.
+def _left_coset_minima(G: GroupTable, H: np.ndarray) -> np.ndarray | None:
+    """min(gH) for every g, or None when the subgroup H is not normal.
 
     The minimum of a coset lies in it, so it labels the coset, and H is
     normal iff every left coset gH is the right coset Hg, i.e. iff the
     left-coset minima equal the right-coset minima.
     """
     t = G.table
-    mem = np.fromiter(H.members, dtype=np.int64, count=H.size)
-    left = t[:, mem].min(axis=1)
-    if not (left == t[mem, :].min(axis=0)).all():
+    left = t[:, H].min(axis=1)
+    if not (left == t[H, :].min(axis=0)).all():
         return None
     return left
-
-
-def is_normal(G: GroupTable, H: ElementSet) -> bool:
-    if not H.is_subgroup:
-        raise InputError("is_normal requires a subgroup-flagged ElementSet")
-    return _left_coset_minima(G, H) is not None
 
 
 def _mask_bytes(ids: np.ndarray, n: int) -> bytes:
@@ -223,7 +178,7 @@ def _mask_bytes(ids: np.ndarray, n: int) -> bytes:
     return np.packbits(mask).tobytes()
 
 
-def normal_subgroups(G: GroupTable) -> list[ElementSet]:
+def normal_subgroups(G: GroupTable) -> list[np.ndarray]:
     """Complete duplicate-free list of normal subgroups, sorted by (size, ids).
 
     Every normal subgroup is the join of the normal closures of its
@@ -282,19 +237,19 @@ def normal_subgroups(G: GroupTable) -> list[ElementSet]:
             if key not in found:
                 found[key] = joined
                 work.append(joined)
-    # every id array is ascending, so it is the ElementSet's to_ids()
-    ordered = sorted((ids.tolist() for ids in found.values()), key=lambda ids: (len(ids), ids))
-    return [element_set(G, ids, subgroup=True) for ids in ordered]
+    return sorted(found.values(), key=lambda ids: (ids.size, ids.tolist()))
 
 
-def quotient(G: GroupTable, N: ElementSet) -> GroupTable:
-    """Quotient group on the cosets of a normal subgroup N, represented by
-    their smallest ids in ascending order."""
-    minima = _left_coset_minima(G, N) if N.is_subgroup else None
+def quotient(G: GroupTable, N: np.ndarray) -> GroupTable:
+    """Quotient group on the cosets of N, represented by their smallest ids
+    in ascending order.  N must be a subgroup the engine returned; it raises
+    InputError when N is not normal."""
+    minima = _left_coset_minima(G, N)
     if minima is None:
         raise InputError("quotient requires a normal subgroup")
     reps, coset_of = np.unique(minima, return_inverse=True)
-    q = coset_of[G.table[np.ix_(reps, reps)]]
+    # index an int32 map, so the n x n gather is built once in the table's dtype
+    q = coset_of.astype(np.int32)[G.table[np.ix_(reps, reps)]]
     label = f"{G.label}/{N.size}" if G.label else ""
     return GroupTable(reps.size, table=q, label=label)
 
@@ -340,7 +295,7 @@ def _element_orders(G: GroupTable) -> np.ndarray:
     return orders
 
 
-def sylow(G: GroupTable, p: int) -> ElementSet:
+def sylow(G: GroupTable, p: int) -> np.ndarray:
     """One Sylow p-subgroup, deterministic: the closure of the p-element of
     largest order with the smallest id, grown one p-element at a time."""
     n = G.order
@@ -362,7 +317,7 @@ def sylow(G: GroupTable, p: int) -> ElementSet:
         # candidate does, and cur<c> is then a p-subgroup of order > |cur|
         normalises = mask[t[t[np.ix_(cands, cur)], inv[cands, None]]].all(axis=1)
         cur = _closure_ids(G, np.append(cur, cands[np.argmax(normalises)]))
-    return element_set(G, cur, subgroup=True)
+    return cur
 
 
 # ---------------------------------------------------------------------------

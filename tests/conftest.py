@@ -53,7 +53,7 @@ from leinster.claims import (
     dihedral_normal_orders,
 )
 from leinster.errors import InputError
-from leinster.groups import ElementSet, GroupTable, element_set
+from leinster.groups import GroupTable
 from leinster.numtheory import divisors, is_squarefree, order_is_exactly
 from leinster.squarefree import (
     MetacyclicDescriptor,
@@ -211,7 +211,7 @@ def _mask_key(ids: np.ndarray, n: int) -> bytes:
     return np.packbits(mask).tobytes()
 
 
-def normal_subgroups_pairwise(G: GroupTable) -> list[ElementSet]:
+def normal_subgroups_pairwise(G: GroupTable) -> list[np.ndarray]:
     """Normal subgroups as joins of every found pair, to fixpoint, starting
     from one normal closure per conjugacy class of cyclic subgroups."""
     n, t, inv, e = G.order, G.table, G.inv_array, G.identity
@@ -246,9 +246,7 @@ def normal_subgroups_pairwise(G: GroupTable) -> list[ElementSet]:
             if key not in found:
                 found[key] = joined
                 work.append(joined)
-    subs = [element_set(G, ids, subgroup=True) for ids in found.values()]
-    subs.sort(key=lambda s: (s.size, s.to_ids()))
-    return subs
+    return sorted(found.values(), key=lambda ids: (ids.size, ids.tolist()))
 
 
 def element_orders_sweep(G: GroupTable) -> np.ndarray:
@@ -268,42 +266,40 @@ def element_orders_sweep(G: GroupTable) -> np.ndarray:
     return orders
 
 
-def derived_subgroup_sweep(G: GroupTable) -> ElementSet:
+def derived_subgroup_sweep(G: GroupTable) -> np.ndarray:
     """The closure of all n^2 commutators (g h)(g^-1 h^-1)."""
     t, inv = G.table, G.inv_array
     comms = np.unique(t[t, t[np.ix_(inv, inv)]])
-    return element_set(G, _closure_by_squaring(G, comms), subgroup=True)
+    return _closure_by_squaring(G, comms)
 
 
-def is_normal_by_conjugation(G: GroupTable, H: ElementSet) -> bool:
+def is_normal_by_conjugation(G: GroupTable, H: np.ndarray) -> bool:
     """Every conjugate g h g^-1 of every member lies in H."""
     t, inv = G.table, G.inv_array
-    mem = np.array(H.to_ids(), dtype=np.int64)
     mask = np.zeros(G.order, dtype=bool)
-    mask[mem] = True
-    return bool(mask[t[t[:, mem], inv[:, None]]].all())
+    mask[H] = True
+    return bool(mask[t[t[:, H], inv[:, None]]].all())
 
 
-def quotient_coset_loop(G: GroupTable, N: ElementSet) -> GroupTable:
+def quotient_coset_loop(G: GroupTable, N: np.ndarray) -> GroupTable:
     """Quotient by a normal N: walk the ids in order, and each id not yet
     in a coset opens the coset gN as its representative."""
-    if not N.is_subgroup or not is_normal_by_conjugation(G, N):
+    if not is_normal_by_conjugation(G, N):
         raise InputError("quotient requires a normal subgroup")
     t = G.table
-    mem = np.array(N.to_ids(), dtype=np.int64)
     coset_of = np.full(G.order, -1, dtype=np.int64)
     reps = []
     for g in range(G.order):
         if coset_of[g] >= 0:
             continue
-        coset_of[t[g, mem]] = len(reps)
+        coset_of[t[g, N]] = len(reps)
         reps.append(g)
     reps_arr = np.array(reps, dtype=np.int64)
     label = f"{G.label}/{N.size}" if G.label else ""
     return GroupTable(len(reps), table=coset_of[t[np.ix_(reps_arr, reps_arr)]], label=label)
 
 
-def sylow_growth_loop(G: GroupTable, p: int) -> ElementSet:
+def sylow_growth_loop(G: GroupTable, p: int) -> np.ndarray:
     """Sylow p-subgroup by greedy growth: seeds are the p-elements by
     descending order, then ascending id; each step adds the first p-element
     in id order that normalises the current subgroup and keeps its closure
@@ -336,7 +332,7 @@ def sylow_growth_loop(G: GroupTable, p: int) -> ElementSet:
             if not grown:
                 break
         if len(cur) == pk:
-            return element_set(G, cur, subgroup=True)
+            return cur
     raise AssertionError(f"no Sylow {p}-subgroup grown")
 
 
