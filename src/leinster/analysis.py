@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import InputError
 from .groups import GroupTable, normal_subgroups
 from .numtheory import divisors
-from .squarefree import MetacyclicDescriptor, descriptor_normal_orders, split_metacyclic_normal_orders
+from .squarefree import MetacyclicDescriptor, split_metacyclic_normal_orders
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,14 +71,14 @@ def analyze(G: GroupTable) -> LeinsterReport:
 
 def analyze_descriptor(desc: MetacyclicDescriptor) -> LeinsterReport:
     """Structural path for a squarefree-order group."""
-    return report_from_orders(desc.pretty_label(), desc.order, descriptor_normal_orders(desc))
-
-
-def analyze_split_metacyclic(a: int, b: int, t: int, label: str = "") -> LeinsterReport:
-    """Structural path for any split metacyclic group with gcd(a, b) = 1."""
     return report_from_orders(
-        label or f"SD({a},{b},{t})", a * b, split_metacyclic_normal_orders(a, b, t)
+        desc.pretty_label(), desc.order, split_metacyclic_normal_orders(desc.a, desc.b, desc.t)
     )
+
+
+def analyze_split_metacyclic(a: int, b: int, t: int) -> LeinsterReport:
+    """Structural path for any split metacyclic group with gcd(a, b) = 1."""
+    return report_from_orders(f"SD({a},{b},{t})", a * b, split_metacyclic_normal_orders(a, b, t))
 
 
 def analyze_cyclic(n: int) -> LeinsterReport:

@@ -56,6 +56,7 @@ from .numtheory import (
 from .squarefree import (
     enumerate_squarefree,
     holder_count,
+    realize,
     twist_classes,
 )
 
@@ -295,8 +296,6 @@ def analyze_pqrs_order(n: int) -> dict:
     hits = [r.to_json() for r in reports if r.is_leinster]
     engine_ok = None
     if n <= ENGINE_VALIDATION_CAP:
-        from .squarefree import realize
-
         engine_ok = all(
             analyze(realize(d)).normal_orders == r.normal_orders
             for d, r in zip(descs, reports)
@@ -326,7 +325,6 @@ def cmd_verify_pqrs(bound: int, jobs: int = 1) -> ClaimResult:
                 per_order = list(pool.map(analyze_pqrs_order, orders))
         else:
             per_order = [analyze_pqrs_order(n) for n in orders]
-        per_order.sort(key=lambda d: d["order"])
         all_counts = all(d["count_matches"] for d in per_order)
         all_engine = all(d["engine_validated"] in (True, None) for d in per_order)
         hits = [h for d in per_order for h in d["leinster_hits"]]
@@ -371,12 +369,11 @@ def p2qr_candidates(p: int, q: int, r: int) -> list[LeinsterReport]:
     pool: dict[tuple, tuple[int, str, LeinsterReport]] = {}
     qr = q * r
 
-    # abelian p-part times any group of order qr
+    # abelian p-part times any group of order qr; C_p x C_p has p + 1
+    # subgroups of order p, all normal
     cp2 = analyze_cyclic(p * p)
-    cpxcp = analyze(constructors.build(f"C{p}xC{p}"))
+    cpxcp = report_from_orders(f"C{p}xC{p}", p * p, [1] + [p] * (p + 1) + [p * p])
     for d in enumerate_squarefree(qr):
-        if d.order != qr:
-            continue
         rep = analyze_descriptor(d)
         _offer(pool, 2, analyze_coprime_product(rep, cp2))
         _offer(pool, 2, analyze_coprime_product(rep, cpxcp))
@@ -384,7 +381,7 @@ def p2qr_candidates(p: int, q: int, r: int) -> list[LeinsterReport]:
     # dicyclic times cyclic (the 2-part of a dicyclic group is 4)
     if p == 2:
         for m, c in ((q, r), (r, q), (qr, 1)):
-            rep = analyze_split_metacyclic(m, 4, m - 1, label=f"Dic{m}")
+            rep = report_from_orders(f"Dic{m}", 4 * m, dicyclic_normal_orders(m))
             if c > 1:
                 rep = analyze_coprime_product(rep, analyze_cyclic(c))
             _offer(pool, 0, rep)
@@ -455,8 +452,6 @@ def cmd_verify_p2qr(prime_bound: int) -> ClaimResult:
 def corpus_groups(corpus_bound: int) -> Iterator[GroupTable]:
     """The property-suite corpus, one group at a time: every squarefree-order
     group up to the bound, realized explicitly, then the named families."""
-    from .squarefree import realize
-
     for n in range(1, corpus_bound + 1):
         if is_squarefree(n):
             yield from map(realize, enumerate_squarefree(n))
@@ -627,22 +622,6 @@ def property_suites(groups: Iterable[GroupTable]) -> list[ClaimResult]:
     return _walk(groups, [_Multiplicativity(), _PrimeIndexAbelian(), _NormalComplement(), _CyclicQuotients()])
 
 
-def claim_multiplicativity(corpus: Iterable[GroupTable]) -> ClaimResult:
-    return _walk(corpus, [_Multiplicativity()])[0]
-
-
-def claim_prime_index_abelian(corpus: Iterable[GroupTable]) -> ClaimResult:
-    return _walk(corpus, [_PrimeIndexAbelian()])[0]
-
-
-def claim_normal_complement(corpus: Iterable[GroupTable]) -> ClaimResult:
-    return _walk(corpus, [_NormalComplement()])[0]
-
-
-def claim_cyclic_quotients(corpus: Iterable[GroupTable]) -> ClaimResult:
-    return _walk(corpus, [_CyclicQuotients()])[0]
-
-
 def claim_odd_normal_parity(census_hits: list[LeinsterReport]) -> ClaimResult:
     def run() -> ClaimResult:
         failures = [r.label for r in census_hits if r.odd_normal_count % 2 != 0]
@@ -704,66 +683,22 @@ def claim_cyclic_perfect() -> ClaimResult:
 
 # -- equation and bound claims ----------------------------------------------
 
-EQUATION_CLAIMS: dict[str, dict] = {
-    "lemma23": {
-        "bounds": {"p": 7, "q": 10000, "r": 10000},
-        "expected": [],
-        "oracle_bounds": {"p": 7, "q": 200, "r": 200},
-    },
-    "lemma24": {
-        "bounds": {"p": 7, "q": 10000, "r": 10000},
-        "expected": [],
-        "oracle_bounds": {"p": 7, "q": 200, "r": 200},
-    },
-    "thm26-noP-a": {
-        "bounds": {"p": 7, "q": 10000, "r": 10000},
-        "expected": [],
-        "oracle_bounds": {"p": 7, "q": 200, "r": 200},
-    },
-    # (2, 3, 11) solves the bare equation; the corresponding order 132 is
-    # ruled out group-theoretically (no group of that order attains the
-    # required normal-subgroup pattern), so the arithmetic solution is
-    # expected and harmless.
-    "thm26-noP-b": {
-        "bounds": {"p": 7, "q": 10000, "r": 10000},
-        "expected": [(2, 3, 11)],
-        "oracle_bounds": {"p": 7, "q": 200, "r": 200},
-    },
-    "thm26-final": {
-        "bounds": {"q": 1000000, "r": 1000000},
-        "expected": [(5, 19), (7, 13)],
-        "oracle_bounds": {"q": 1000, "r": 1000},
-    },
-    "rem37-s1": {
-        "bounds": {"q": 13, "r": 10000, "s": 1000000},
-        "expected": [],
-        "oracle_bounds": {"q": 13, "r": 100, "s": 1000},
-    },
-    "rem37-s2": {
-        "bounds": {"q": 13, "r": 10000, "s": 1000000},
-        "expected": [],
-        "oracle_bounds": {"q": 13, "r": 100, "s": 1000},
-    },
-}
-
-
 def claim_equation(eq_id: str) -> ClaimResult:
     def run() -> ClaimResult:
         eq = EQUATIONS[eq_id]
-        cfg = EQUATION_CLAIMS[eq_id]
-        hits = scan_equation(eq, cfg["bounds"])
-        oracle_hits = scan_equation_bruteforce(eq, cfg["oracle_bounds"])
-        fast_at_oracle = scan_equation(eq, cfg["oracle_bounds"])
-        ok = hits == [tuple(t) for t in cfg["expected"]] and oracle_hits == fast_at_oracle
+        hits = scan_equation(eq, eq.bounds)
+        oracle_hits = scan_equation_bruteforce(eq, eq.oracle_bounds)
+        fast_at_oracle = scan_equation(eq, eq.oracle_bounds)
+        ok = hits == list(eq.expected) and oracle_hits == fast_at_oracle
         return ClaimResult(
             claim_id=f"eq:{eq_id}",
             status="verified" if ok else "refuted",
             statement=f"prime solutions of the registered equation {eq_id} ({eq.note})",
             evidence={
-                "bounds": cfg["bounds"],
+                "bounds": eq.bounds,
                 "solutions": [list(t) for t in hits],
-                "expected": [list(t) for t in cfg["expected"]],
-                "oracle_bounds": cfg["oracle_bounds"],
+                "expected": [list(t) for t in eq.expected],
+                "oracle_bounds": eq.oracle_bounds,
                 "oracle_agrees": oracle_hits == fast_at_oracle,
             },
         )
@@ -804,7 +739,7 @@ def cmd_verify_theorems(corpus_bound: int = 200) -> list[ClaimResult]:
         claim_tau_gt_7(hits),
         claim_cyclic_perfect(),
     ]
-    results.extend(claim_equation(eq_id) for eq_id in sorted(EQUATION_CLAIMS))
+    results.extend(claim_equation(eq_id) for eq_id in sorted(EQUATIONS))
     results.extend(claim_bound(bid) for bid in sorted(BOUNDS))
     return results
 
@@ -822,6 +757,6 @@ def list_claim_ids() -> list[str]:
         "thm-cyclic-perfect",
         "rem-odd-normal-parity",
     ]
-    ids.extend(f"eq:{eq_id}" for eq_id in sorted(EQUATION_CLAIMS))
+    ids.extend(f"eq:{eq_id}" for eq_id in sorted(EQUATIONS))
     ids.extend(f"bound:{bid}" for bid in sorted(BOUNDS))
     return ids

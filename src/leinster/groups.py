@@ -72,10 +72,6 @@ class GroupTable:
             self._inv = inv
         return self._inv
 
-    def inv(self, g: int) -> int:
-        self._check_id(g)
-        return int(self.inv_array[g])
-
     def element_order(self, g: int) -> int:
         self._check_id(g)
         e = self.identity

@@ -152,6 +152,9 @@ class EquationSpec:
     the denominator is strictly positive and divides the numerator.
     ``unreduced`` takes all of ``chain`` and is the original relation before
     solving, used by the brute-force oracle.
+
+    Its claim scans ``bounds`` and expects exactly the (free..., dependent)
+    tuples in ``expected``; the oracle re-checks the smaller ``oracle_bounds``.
     """
 
     id: str
@@ -159,6 +162,9 @@ class EquationSpec:
     chain: tuple[str, ...]
     solved: Callable[..., tuple[int, int]]
     unreduced: Callable[..., bool]
+    bounds: dict[str, int]
+    oracle_bounds: dict[str, int]
+    expected: tuple[tuple[int, ...], ...] = ()
     note: str = ""
 
     @property
@@ -228,6 +234,8 @@ def _build_equations() -> dict[str, EquationSpec]:
             solved=lambda p, q: (1 + (p + 1) * q, q * (p * p - p - 1) - (p + 1)),
             unreduced=lambda p, q, r: p * p * q * r
             == 1 + q + r + p * q + p * r + q * r + p * q * r,
+            bounds={"p": 7, "q": 10000, "r": 10000},
+            oracle_bounds={"p": 7, "q": 200, "r": 200},
             note="order p^2*q*r, commutator of order q*r, trivial pairwise meet",
         ),
         EquationSpec(
@@ -239,6 +247,8 @@ def _build_equations() -> dict[str, EquationSpec]:
             solved=lambda p, q: (p * p * q + p * q + p + 1, p * p - p * q - p - 1),
             unreduced=lambda p, q, r: r * (p * p - p * q - p - 1)
             == p * p * q + p * q + p + 1,
+            bounds={"p": 7, "q": 10000, "r": 10000},
+            oracle_bounds={"p": 7, "q": 200, "r": 200},
             note="order p^2*q*r, commutator of order p*q",
         ),
         EquationSpec(
@@ -251,6 +261,8 @@ def _build_equations() -> dict[str, EquationSpec]:
             ),
             unreduced=lambda p, q, r: p * p * q * r
             == 1 + q + r + p * r + p * q + q * r + p * p * q + p * q * r,
+            bounds={"p": 7, "q": 10000, "r": 10000},
+            oracle_bounds={"p": 7, "q": 200, "r": 200},
             note="commutator of order q, no normal subgroup of order p, variant a",
         ),
         EquationSpec(
@@ -260,6 +272,13 @@ def _build_equations() -> dict[str, EquationSpec]:
             solved=lambda p, q: (p * p * q + p * q + q + 1, p * p * q - p * q - q - 1),
             unreduced=lambda p, q, r: p * p * q * r
             == 1 + q + r + p * q + q * r + p * p * q + p * q * r,
+            bounds={"p": 7, "q": 10000, "r": 10000},
+            oracle_bounds={"p": 7, "q": 200, "r": 200},
+            # (2, 3, 11) solves the bare equation; the corresponding order 132
+            # is ruled out group-theoretically (no group of that order attains
+            # the required normal-subgroup pattern), so the arithmetic
+            # solution is expected and harmless.
+            expected=((2, 3, 11),),
             note="commutator of order q, no normal subgroup of order p, variant b",
         ),
         EquationSpec(
@@ -268,6 +287,9 @@ def _build_equations() -> dict[str, EquationSpec]:
             chain=("p", "q", "r"),
             solved=lambda p, q: (7 * q + 3, q - 3),
             unreduced=lambda p, q, r: q * r == 3 + 7 * q + 3 * r,
+            bounds={"q": 1000000, "r": 1000000},
+            oracle_bounds={"q": 1000, "r": 1000},
+            expected=((5, 19), (7, 13)),
             note="p = 2 forced; the two solutions give the order-380 and order-364 hits",
         ),
         EquationSpec(
@@ -276,6 +298,8 @@ def _build_equations() -> dict[str, EquationSpec]:
             chain=("p", "q", "r", "s"),
             solved=lambda p, q, r: (1 + r + 3 * q + 3 * q * r, q * r - 3 * q),
             unreduced=lambda p, q, r, s: s * (q * r - 3 * q) == 1 + r + 3 * q + 3 * q * r,
+            bounds={"q": 13, "r": 10000, "s": 1000000},
+            oracle_bounds={"q": 13, "r": 100, "s": 1000},
             note="four-distinct-prime order, ten normal subgroups, commutator of order q",
         ),
         EquationSpec(
@@ -285,6 +309,8 @@ def _build_equations() -> dict[str, EquationSpec]:
             solved=lambda p, q, r: (1 + 3 * r + 3 * q * r, q * r - 3 * r - 1),
             unreduced=lambda p, q, r, s: s * (q * r - 3 * r - 1)
             == 1 + 3 * r + 3 * q * r,
+            bounds={"q": 13, "r": 10000, "s": 1000000},
+            oracle_bounds={"q": 13, "r": 100, "s": 1000},
             note="four-distinct-prime order, ten normal subgroups, commutator of order r",
         ),
     ]
@@ -292,13 +318,6 @@ def _build_equations() -> dict[str, EquationSpec]:
 
 
 EQUATIONS: dict[str, EquationSpec] = _build_equations()
-
-
-def get_equation(eq_id: str) -> EquationSpec:
-    try:
-        return EQUATIONS[eq_id]
-    except KeyError:
-        raise InputError(f"unknown equation id {eq_id!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -203,7 +203,3 @@ def split_metacyclic_normal_orders(a: int, b: int, t: int) -> list[int]:
         orders += [a // d * f for d in divisors(g)]
     orders.sort()
     return orders
-
-
-def descriptor_normal_orders(desc: MetacyclicDescriptor) -> list[int]:
-    return split_metacyclic_normal_orders(desc.a, desc.b, desc.t)

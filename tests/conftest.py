@@ -180,7 +180,7 @@ def all_subgroups_bruteforce(G: GroupTable) -> set[frozenset]:
 
 def is_normal_bruteforce(G: GroupTable, sub: frozenset) -> bool:
     return all(
-        G.mul(G.mul(g, h), G.inv(g)) in sub for g in range(G.order) for h in sub
+        G.mul(G.mul(g, h), G.inv_array[g]) in sub for g in range(G.order) for h in sub
     )
 
 

@@ -19,16 +19,16 @@ from leinster.cli import main
 from leinster.groups import normal_subgroups
 from leinster.numtheory import (
     BOUNDS,
+    EQUATIONS,
     check_bound,
-    get_equation,
     is_squarefree,
     scan_equation,
     scan_equation_bruteforce,
 )
 from leinster.squarefree import (
-    descriptor_normal_orders,
     enumerate_squarefree,
     holder_count,
+    split_metacyclic_normal_orders,
 )
 
 
@@ -78,7 +78,7 @@ def test_criterion_2_pqrs_bound_2500(tmp_path):
 
 def test_criterion_3_final_equation_to_1e6():
     """thm26-final yields exactly (5,19) and (7,13) for primes up to 10^6, <5s."""
-    eq = get_equation("thm26-final")
+    eq = EQUATIONS["thm26-final"]
     t0 = time.monotonic()
     sols = scan_equation(eq, {"q": 10**6, "r": 10**6})
     elapsed = time.monotonic() - t0
@@ -101,7 +101,7 @@ def test_criterion_4_equation_scanners_with_oracle():
         "thm26-noP-b": [(2, 3, 11)],
     }
     for eq_id, want in expected.items():
-        eq = get_equation(eq_id)
+        eq = EQUATIONS[eq_id]
         assert scan_equation(eq, bounds) == want, eq_id
         assert scan_equation(eq, oracle_bounds) == scan_equation_bruteforce(
             eq, oracle_bounds
@@ -156,7 +156,7 @@ def test_criterion_7_oracle_equivalence():
     for d, G in zip(descriptors, corpus_groups(600)):
         assert G.order == d.order
         engine = sorted(N.size for N in normal_subgroups(G))
-        assert engine == descriptor_normal_orders(d), d
+        assert engine == split_metacyclic_normal_orders(d.a, d.b, d.t), d
         checked += 1
     assert checked == sum(
         holder_count(n) for n in range(1, 601) if is_squarefree(n)

@@ -1,5 +1,8 @@
+import hashlib
+import itertools
 import json
 import math
+import re
 import weakref
 
 import pytest
@@ -8,12 +11,10 @@ from conftest import census_universe_pooled, split_metacyclic_specs_bruteforce
 
 from leinster import analysis, claims
 from leinster.claims import (
-    EQUATION_CLAIMS,
     _split_metacyclic_specs,
     census_universe,
     claim_bound,
     claim_equation,
-    claim_multiplicativity,
     cmd_census,
     cmd_verify_p2qr,
     cmd_verify_pqrs,
@@ -33,9 +34,11 @@ from leinster.analysis import (
     analyze_descriptor,
     analyze_split_metacyclic,
 )
+from leinster.cli import main
 from leinster.constructors import build
 from leinster.errors import InputError
-from leinster.numtheory import BOUNDS, divisors, factorize, is_squarefree
+from leinster.groups import TABLE_CAP
+from leinster.numtheory import BOUNDS, EQUATIONS, divisors, factorize, is_squarefree, primes_upto
 from leinster.squarefree import MetacyclicDescriptor, enumerate_squarefree
 
 
@@ -265,6 +268,42 @@ class TestP2qr:
         assert res.evidence["candidates_checked"] == 0
         assert res.status == "partial"
 
+    @pytest.mark.parametrize("prime_bound,sha256", [
+        (19, "85581c6414e0295ecdf61e8c88bf22bb225fabde076f1c46839db2388de87f9d"),
+        (23, "153c881a2cb7062698c30a9aa7be3ba1effbfe7f240f59ef00873811a865be71"),
+        (53, "4ad0fe73cdb37d01046ad78f8923e48869318fb363550a8c0598c8e387ec888b"),
+    ])
+    def test_report_is_pinned(self, prime_bound, sha256, tmp_path):
+        # SHA-256 of the JSON report with every elapsed_ms zeroed, as in bench/run.py
+        out = tmp_path / "p2qr.json"
+        assert main(["p2qr", "--prime-bound", str(prime_bound), "--format", "json", "--out", str(out)]) == 0
+        report = re.sub(rb'"elapsed_ms": \d+', b'"elapsed_ms": 0', out.read_bytes())
+        assert hashlib.sha256(report).hexdigest() == sha256
+
+    @pytest.mark.parametrize("prime_bound", [59, 113])
+    def test_verify_beyond_the_engine_capacity(self, prime_bound):
+        # from prime bound 59 on, C47xC47 (order 2209) is past the engine's table cap
+        res = cmd_verify_p2qr(prime_bound)
+        assert res.status == "verified"
+        assert [h["label"] for h in res.evidence["hits"]] == ["Dic7xC13", "Dic5xC19"]
+
+    def test_verify_builds_no_cayley_table(self, monkeypatch):
+        def no_engine(*args):
+            raise AssertionError("p2qr used the explicit engine")
+
+        monkeypatch.setattr(claims.constructors, "build", no_engine)
+        monkeypatch.setattr(claims, "analyze", no_engine)
+        assert cmd_verify_p2qr(23).status == "verified"
+
+    def test_candidates_match_the_engine(self):
+        checked = 0
+        for p, q, r in itertools.combinations(primes_upto(13), 3):
+            for rep in p2qr_candidates(p, q, r):
+                if rep.order <= TABLE_CAP:
+                    assert analyze(build(rep.label)).normal_orders == rep.normal_orders, rep.label
+                    checked += 1
+        assert checked == 97
+
 
 @pytest.fixture(scope="module")
 def results():
@@ -292,7 +331,8 @@ class TestTheoremClaims:
 
     def test_too_few_pairs_is_partial_not_refuted(self):
         # corpus bound 0 leaves only the named groups, which form no pair
-        res = claim_multiplicativity(corpus_groups(0))
+        res = claims.property_suites(corpus_groups(0))[0]
+        assert res.claim_id == "thm-sigma-tau-multiplicative"
         assert res.evidence == {"pairs_checked": 0, "failures": []}
         assert res.status == "partial"
 
@@ -305,7 +345,15 @@ class TestTheoremClaims:
     ])
     def test_nothing_checked_is_partial_not_verified(self, name, count_key):
         # an empty corpus or an empty list of census hits
-        res = getattr(claims, name)([])
+        suites = {
+            "claim_prime_index_abelian": claims._PrimeIndexAbelian,
+            "claim_normal_complement": claims._NormalComplement,
+            "claim_cyclic_quotients": claims._CyclicQuotients,
+        }
+        if name in suites:
+            res = claims._walk([], [suites[name]()])[0]
+        else:
+            res = getattr(claims, name)([])
         assert res.evidence == {count_key: 0, "failures": []}
         assert res.status == "partial"
 
@@ -358,12 +406,12 @@ class TestTheoremClaims:
         corpus = list(real(120))
         assert len(large) == sum(G.order > 60 for G in corpus) > 1
         one_at_a_time = [
-            suite(corpus)
+            claims._walk(corpus, [suite()])[0]
             for suite in (
-                claims.claim_multiplicativity,
-                claims.claim_prime_index_abelian,
-                claims.claim_normal_complement,
-                claims.claim_cyclic_quotients,
+                claims._Multiplicativity,
+                claims._PrimeIndexAbelian,
+                claims._NormalComplement,
+                claims._CyclicQuotients,
             )
         ]
         assert [(r.claim_id, r.status, r.evidence) for r in streamed] == [
@@ -380,7 +428,7 @@ class TestTheoremClaims:
         assert res.status == "partial"
 
     def test_equation_claims_carry_oracle_agreement(self, results):
-        for eq_id in EQUATION_CLAIMS:
+        for eq_id in EQUATIONS:
             assert results[f"eq:{eq_id}"].evidence["oracle_agrees"]
 
     def test_noP_b_has_the_known_arithmetic_solution(self):

@@ -84,7 +84,7 @@ class TestBuilders:
         # y x y^-1 = x^t in C7 x| C3 with t = 2
         G = con.build("SD(7,3,2)")
         x, y = 3, 1  # id = i*b + j
-        lhs = G.mul(G.mul(y, x), G.inv(y))
+        lhs = G.mul(G.mul(y, x), G.inv_array[y])
         assert lhs == 2 * 3  # x^2
 
     @pytest.mark.parametrize(

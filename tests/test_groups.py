@@ -64,7 +64,7 @@ class TestGroupTable:
         G = build("Dic5")
         e = G.identity
         for g in range(G.order):
-            assert G.mul(g, G.inv(g)) == e
+            assert G.mul(g, G.inv_array[g]) == e
             assert G.mul(e, g) == g
 
     def test_identity_away_from_id_zero(self):
@@ -168,7 +168,7 @@ class TestNormalSubgroups:
         cyclic = {cyclic_subgroup(G, g) for g in range(G.order) if g != G.identity}
         classes = {
             frozenset(
-                frozenset(G.mul(G.mul(x, c), G.inv(x)) for c in C) for x in range(G.order)
+                frozenset(G.mul(G.mul(x, c), G.inv_array[x]) for c in C) for x in range(G.order)
             )
             for C in cyclic
         }

@@ -3,7 +3,7 @@ import inspect
 
 import pytest
 
-from leinster.claims import EQUATION_CLAIMS, claim_equation
+from leinster.claims import claim_equation
 from leinster.errors import InputError
 from leinster.numtheory import (
     BOUNDS,
@@ -13,7 +13,6 @@ from leinster.numtheory import (
     divisor_sum,
     divisors,
     factorize,
-    get_equation,
     is_perfect,
     is_prime,
     is_squarefree,
@@ -72,11 +71,9 @@ class TestEquationScanning:
             "lemma23", "lemma24", "thm26-noP-a", "thm26-noP-b",
             "thm26-final", "rem37-s1", "rem37-s2",
         }
-        with pytest.raises(InputError):
-            get_equation("nope")
 
     def test_final_equation_small(self):
-        eq = get_equation("thm26-final")
+        eq = EQUATIONS["thm26-final"]
         assert scan_equation(eq, {"q": 1000, "r": 1000}) == [(5, 19), (7, 13)]
 
     def test_final_equation_values(self):
@@ -86,13 +83,13 @@ class TestEquationScanning:
 
     @pytest.mark.parametrize("eq_id", sorted(EQUATIONS))
     def test_solved_form_matches_bruteforce(self, eq_id):
-        eq = get_equation(eq_id)
+        eq = EQUATIONS[eq_id]
         bounds = {name: 60 for name in eq.free + (eq.dependent,)}
         bounds[eq.dependent] = 500
         assert scan_equation(eq, bounds) == scan_equation_bruteforce(eq, bounds)
 
     def test_bound_validation(self):
-        eq = get_equation("thm26-final")
+        eq = EQUATIONS["thm26-final"]
         with pytest.raises(InputError):
             scan_equation(eq, {"q": 10})  # missing r
         with pytest.raises(InputError):
@@ -103,7 +100,7 @@ class TestEquationScanning:
     def test_chain_is_enforced(self):
         # the noP-a equation requires p < q < r; solutions violating the
         # chain must not be reported even if the arithmetic holds
-        eq = get_equation("thm26-noP-a")
+        eq = EQUATIONS["thm26-noP-a"]
         for p, q, r in scan_equation(eq, {"p": 50, "q": 200, "r": 2000}):
             assert p < q < r
 
@@ -112,15 +109,15 @@ class TestEquationScanning:
         def solved(*args):
             raise AssertionError("the oracle called the solved form")
 
-        eq = get_equation(eq_id)
-        bounds = EQUATION_CLAIMS[eq_id]["oracle_bounds"]
+        eq = EQUATIONS[eq_id]
+        bounds = eq.oracle_bounds
         blind = dataclasses.replace(eq, solved=solved)
         assert scan_equation_bruteforce(blind, bounds) == scan_equation(eq, bounds)
 
     def test_wrong_solved_form_is_refuted_by_oracle(self, monkeypatch):
         # q*r = 3 + 7q + 3r solved wrongly for r; the unreduced relation
         # still has the solutions (5, 19) and (7, 13)
-        eq = get_equation("thm26-final")
+        eq = EQUATIONS["thm26-final"]
         wrong = dataclasses.replace(eq, solved=lambda p, q: (7 * q + 4, q - 3))
         monkeypatch.setitem(EQUATIONS, "thm26-final", wrong)
         res = claim_equation("thm26-final")
@@ -130,7 +127,7 @@ class TestEquationScanning:
 
     @pytest.mark.parametrize("eq_id", sorted(EQUATIONS))
     def test_callables_take_chain_positionally(self, eq_id):
-        eq = get_equation(eq_id)
+        eq = EQUATIONS[eq_id]
         assert eq.chain[: len(eq.fixed)] == tuple(name for name, _ in eq.fixed)
         assert tuple(inspect.signature(eq.solved).parameters) == eq.chain[:-1]
         assert tuple(inspect.signature(eq.unreduced).parameters) == eq.chain

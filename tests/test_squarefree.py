@@ -20,7 +20,6 @@ from leinster.numtheory import divisors, is_squarefree
 from leinster.squarefree import (
     MetacyclicDescriptor,
     canonical_twist,
-    descriptor_normal_orders,
     enumerate_squarefree,
     holder_count,
     realize,
@@ -79,7 +78,7 @@ class TestEnumeration:
     def test_descriptors_are_distinct_groups(self):
         # all 4 groups of order 30 have distinct normal-order multisets
         descs = enumerate_squarefree(30)
-        fingerprints = {tuple(descriptor_normal_orders(d)) for d in descs}
+        fingerprints = {tuple(split_metacyclic_normal_orders(d.a, d.b, d.t)) for d in descs}
         assert len(fingerprints) == 4
 
     def test_matches_bruteforce_oracle_up_to_2000(self):
@@ -140,14 +139,14 @@ class TestStructuralNormalOrders:
                 continue
             for d in enumerate_squarefree(n):
                 engine = analyze(realize(d))
-                assert list(engine.normal_orders) == descriptor_normal_orders(d), d
+                assert list(engine.normal_orders) == split_metacyclic_normal_orders(d.a, d.b, d.t), d
 
     def test_matches_bruteforce_oracle_on_tiny_groups(self):
         for n in (6, 10, 12, 20, 21, 30, 42, 56):
             if not is_squarefree(n):
                 continue
             for d in enumerate_squarefree(n):
-                assert normal_orders_bruteforce(realize(d)) == descriptor_normal_orders(d)
+                assert normal_orders_bruteforce(realize(d)) == split_metacyclic_normal_orders(d.a, d.b, d.t)
 
     def test_unfaithful_twist_supported(self):
         # C7 x| C8 acting through the order-2 quotient: t = 6, t^2 = 1 mod 7
