@@ -64,10 +64,11 @@ class GroupTable:
     @property
     def inv_array(self) -> np.ndarray:
         if self._inv is None:
-            inv = np.full(self.order, -1, dtype=np.int32)
-            rows, cols = np.nonzero(self.table == self.identity)
-            inv[rows] = cols
-            if (inv < 0).any():
+            e = self.identity
+            # the first e in each row, or 0 for a row without one; one n-long
+            # gather then confirms that every row's pick is e
+            inv = np.argmax(self.table == e, axis=1).astype(np.int32)
+            if (self.table[np.arange(self.order), inv] != e).any():
                 raise InputError("missing inverses; not a group table")
             self._inv = inv
         return self._inv
@@ -183,9 +184,15 @@ def normal_subgroups(G: GroupTable) -> list[np.ndarray]:
     subgroups share one), and each stops as soon as it outgrows every proper
     subgroup (Lagrange; see _closure_ids).  The lattice is {1}, G, these
     seed closures, and every join of a found subgroup with one more proper
-    seed closure, to fixpoint.  The join of normal subgroups A and S is the
-    product set AS of |A||S|/|A & S| elements, so it is not formed when S
-    lies inside A or when that count is |G|.
+    seed closure, to fixpoint.
+
+    The join of normal subgroups A and S is the product set AS of
+    |A||S|/|A & S| elements; it is A when S lies in A, and G when that count
+    is |G|.  A proper normal subgroup is the union of the seeds it contains
+    (it is the union of the normal closures of its members, each a seed), so
+    a found subgroup of order |AS| that contains the seeds of A and S
+    contains AS and is AS.  Only when none qualifies is the product set
+    formed, and it is then new.
     """
     n = G.order
     t = G.table
@@ -216,24 +223,41 @@ def normal_subgroups(G: GroupTable) -> list[np.ndarray]:
         gens = powers[:m][np.gcd(np.arange(1, m + 1), m) == 1]
         covered[t[t[conjugators[:, None], gens[None, :]], inv[conjugators, None]]] = True
 
-    seeds = [ids for ids in found.values() if 1 < ids.size < n]
-    work = list(seeds)
+    lattice = list(found.values())
+    seeds = [ids for ids in lattice if 1 < ids.size < n]
+    in_seed = np.zeros((len(seeds), n), dtype=bool)
+    for row, ids in zip(in_seed, seeds):
+        row[ids] = True
+    sizes = np.array([ids.size for ids in seeds])
+    # seed_sets[order] holds, per found proper subgroup of that order, the
+    # bitmask of the seeds it contains
+    seed_sets: dict[int, list[int]] = {}
+    work = []
+
+    def add(ids: np.ndarray) -> None:
+        # |ids & S| for every seed S, in one k x |ids| gather
+        common = in_seed[:, ids].sum(axis=1)
+        held = int.from_bytes(np.packbits(common == sizes, bitorder="little").tobytes(), "little")
+        seed_sets.setdefault(ids.size, []).append(held)
+        work.append((ids, common, held))
+
+    for ids in seeds:
+        add(ids)
     while work:
-        a = work.pop()
-        in_a = np.zeros(n, dtype=bool)
-        in_a[a] = True
-        for s in seeds:
-            common = int(in_a[s].sum())
-            if common == s.size or a.size * s.size == n * common:
-                continue  # AS is A, or AS is G
-            mask = in_a.copy()
-            mask[t[a[:, None], s[~in_a[s]][None, :]].ravel()] = True
+        a, common, held = work.pop()
+        # AS is A when S lies in A, and G when |A||S| = |G||A & S|
+        for k in np.flatnonzero((common != sizes) & (a.size * sizes != n * common)).tolist():
+            need = held | 1 << k
+            if any(m & need == need for m in seed_sets.get(a.size * sizes[k] // common[k], ())):
+                continue  # AS is already found
+            mask = np.zeros(n, dtype=bool)
+            mask[a] = True
+            s = seeds[k]
+            mask[t[a[:, None], s[~mask[s]][None, :]].ravel()] = True
             joined = np.flatnonzero(mask)
-            key = _mask_bytes(joined, n)
-            if key not in found:
-                found[key] = joined
-                work.append(joined)
-    return sorted(found.values(), key=lambda ids: (ids.size, ids.tolist()))
+            lattice.append(joined)
+            add(joined)
+    return sorted(lattice, key=lambda ids: (ids.size, ids.tolist()))
 
 
 def quotient(G: GroupTable, N: np.ndarray) -> GroupTable:

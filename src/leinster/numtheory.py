@@ -7,12 +7,13 @@ Everything here is exact arithmetic; no floats anywhere.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .errors import InputError
 
@@ -217,12 +218,19 @@ def scan_equation_bruteforce(eq: EquationSpec, bounds: dict[str, int]) -> list[t
     tested against the unreduced relation; the solved form is never used."""
     _check_bounds(eq, bounds)
     fixed = tuple(value for _, value in eq.fixed)
-    pools = [primes_upto(bounds[name]) for name in eq.free + (eq.dependent,)]
-    return sorted(
-        tup
-        for tup in itertools.product(*pools)
-        if _ascending(fixed + tup) and eq.unreduced(*fixed, *tup)
-    )
+    chains: Iterable[tuple[int, ...]] = [fixed] if _ascending(fixed) else []
+    for name in eq.free + (eq.dependent,):
+        chains = _extended(chains, primes_upto(bounds[name]))
+    return sorted(chain[len(fixed) :] for chain in chains if eq.unreduced(*chain))
+
+
+def _extended(chains: Iterable[tuple[int, ...]], pool: list[int]) -> Iterator[tuple[int, ...]]:
+    """Every chain followed by each prime of the ascending pool above its
+    last value, lazily, so a strictly ascending chain stays so and the
+    nested scans hold one chain per variable, not a list of them."""
+    for chain in chains:
+        for p in pool[bisect.bisect_right(pool, chain[-1]) if chain else 0 :]:
+            yield chain + (p,)
 
 
 def _build_equations() -> dict[str, EquationSpec]:

@@ -4,7 +4,9 @@ import pytest
 from conftest import abelian_group, perm_group, presentation_table, validate
 
 from leinster import constructors as con
+from leinster.claims import ENGINE_VALIDATION_CAP, pqrs_orders
 from leinster.errors import InputError
+from leinster.squarefree import enumerate_squarefree
 
 
 class TestSpecs:
@@ -102,6 +104,13 @@ class TestBuilders:
     def test_dihedral_and_dicyclic_tables_match_presentation(self, label, a, t, s):
         # x^a = 1, y^2 = x^s, y x y^-1 = x^t, up to orders near the table cap
         assert np.array_equal(con.build(label).table, presentation_table(a, 2, t, s))
+
+    @pytest.mark.parametrize("n", pqrs_orders(ENGINE_VALIDATION_CAP))
+    def test_pqrs_descriptor_tables_match_presentation(self, n):
+        # every table the pqrs claim builds for its engine re-check
+        for d in enumerate_squarefree(n):
+            table = presentation_table(d.a, d.b, d.t, 0)
+            assert np.array_equal(con.build(d.label).table, table), d.label
 
     @pytest.mark.parametrize("label,generators", [
         ("A4", ((1, 2, 0, 3), (1, 0, 3, 2))), ("S3", ((1, 2, 0), (1, 0, 2))),

@@ -19,7 +19,7 @@ from conftest import (
 )
 
 from leinster import groups
-from leinster.claims import corpus_groups
+from leinster.claims import ENGINE_VALIDATION_CAP, corpus_groups, pqrs_orders
 from leinster.constructors import build
 from leinster.errors import CapacityError, InputError
 from leinster.groups import (
@@ -84,6 +84,13 @@ class TestGroupTable:
         G = GroupTable(4, table=(ids[:, None] - ids[None, :]) % 4)
         with pytest.raises(InputError, match="no identity"):
             G.identity
+
+    def test_row_without_identity_is_rejected(self):
+        # row 0 is the identity row, but row 2 holds no 0, so 2 has no inverse
+        G = GroupTable(3, table=np.array([[0, 1, 2], [1, 2, 0], [2, 1, 1]]))
+        assert G.identity == 0
+        with pytest.raises(InputError, match="missing inverses"):
+            G.inv_array
 
     def test_element_orders(self):
         G = build("C12")
@@ -188,6 +195,14 @@ class TestNormalSubgroups:
         for G in list(corpus_groups(300)) + more:
             got = [N.tolist() for N in normal_subgroups(G)]
             assert got == [N.tolist() for N in normal_subgroups_pairwise(G)], G.label
+
+    def test_matches_pairwise_join_oracle_on_pqrs_orders(self):
+        # every group the pqrs claim re-checks on the engine
+        for n in pqrs_orders(ENGINE_VALIDATION_CAP):
+            for d in enumerate_squarefree(n):
+                G = realize(d)
+                got = [N.tolist() for N in normal_subgroups(G)]
+                assert got == [N.tolist() for N in normal_subgroups_pairwise(G)], G.label
 
     def test_known_lattices(self):
         assert sorted(N.size for N in normal_subgroups(build("C6"))) == [1, 2, 3, 6]
