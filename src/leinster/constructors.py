@@ -24,14 +24,6 @@ NAMED_PERM_SPECS = {"A4": (4, True), "S3": (3, False)}
 # Table builders (canonical element indexing per family)
 # ---------------------------------------------------------------------------
 
-def _cyclic_group(n: int) -> GroupTable:
-    if n < 1:
-        raise InputError(f"cyclic order must be >= 1, got {n}")
-    check_capacity(n)
-    ids = np.arange(n, dtype=np.int64)
-    return GroupTable(n, (ids[:, None] + ids[None, :]) % n, f"C{n}")
-
-
 def _metacyclic_group(a: int, b: int, t: int, s: int, label: str) -> GroupTable:
     """The group x^a = 1, y^b = x^s, y x y^-1 = x^t with 0 <= t, s < a, on
     ids i*b + j for x^i y^j.  The product of x^i y^j and x^k y^l is
@@ -46,15 +38,17 @@ def _metacyclic_group(a: int, b: int, t: int, s: int, label: str) -> GroupTable:
     i, j = ids // b, ids % b
     # the x-part of a product depends only on (row, column's k) and the rest
     # only on (row's j, column's l), so the table is one n x n int32 buffer:
-    # the reduced n x a x-part repeated b times along the columns, then per
-    # row block j the wrap term and the y-part, each a b x n array broadcast
-    # over i.  The peak is the buffer plus the x-part, 1/b of its size, while
-    # np.repeat copies one into the other (1.5 tables for Dic511, 1.08 for
-    # SD(31,64,30)); the b x n addends are 1/a of it.  No entry reaches a^2
-    x = i[:, None] + tp[j][:, None] * np.arange(a, dtype=np.int32)
+    # the reduced n x a x-part, built in place, repeated b times along the
+    # columns, then per row block j the wrap term and the y-part, each a b x n
+    # array broadcast over i.  The x-part is 1/b of the buffer and np.repeat
+    # copies one into the other: peaks of 1.5 tables for Dic511, 1.08 for
+    # SD(31,64,30), and 1.0 for b = 1, where the x-part is the table.  The
+    # b x n addends are 1/a of it.  No entry reaches a^2
+    x = tp[j][:, None] * np.arange(a, dtype=np.int32)
+    x += i[:, None]
     x %= a
     jl = j[:b, None] + j[None, :]  # j + l for row block j and column (k, l)
-    table = np.repeat(x, b, axis=1)
+    table = x if b == 1 else np.repeat(x, b, axis=1)
     blocks = table.reshape(a, b, n)  # [i, j] is the row of x^i y^j
     if s:
         blocks += np.where(jl >= b, np.int32(s), np.int32(0))
@@ -118,7 +112,9 @@ def _build_atom(tok: str) -> GroupTable:
         return _metacyclic_group(a, b, t, 0, label)
     n = int(value)
     if kind == "cyc":
-        return _cyclic_group(n)
+        if n < 1:
+            raise InputError(f"cyclic order must be >= 1, got {n}")
+        return _metacyclic_group(n, 1, 1 % n, 0, f"C{n}")
     if kind == "dih":
         if n % 2 or n < 2:
             raise InputError(f"dihedral label D{n} must carry an even order >= 2")

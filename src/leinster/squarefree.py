@@ -57,10 +57,8 @@ class MetacyclicDescriptor:
 
     @property
     def label(self) -> str:
-        """The group's constructors label.  For b = 1 it is C{a}: SF(a,1,1)
-        builds the same table, but the semidirect builder's n x n
-        temporaries fragment the heap and raise the corpus's peak RSS."""
-        return f"C{self.a}" if self.b == 1 else f"SF({self.a},{self.b},{self.t})"
+        """The group's constructors label."""
+        return f"SF({self.a},{self.b},{self.t})"
 
     def pretty_label(self) -> str:
         """Human-friendly structure string, e.g. S3xC5 or D30."""

@@ -16,6 +16,8 @@ solutions of t^b = 1 mod a by CRT.
 ``validate`` checks the group axioms on a Cayley table, and
 ``abelian_group`` builds C_m1 x ... x C_mk in one mixed-radix pass, where the
 code under test forms iterated direct products of cyclic tables.
+``product_table`` writes out the direct product from its id pairs in int64, where
+the code under test broadcasts the two int32 tables.
 ``presentation_table`` writes out the metacyclic product formula in int64,
 and ``perm_group`` closes A4 and S3 from generators, where the code under
 test lists the permutations.
@@ -109,6 +111,14 @@ def abelian_group(orders: tuple[int, ...]) -> GroupTable:
     for m, xa, xb in zip(orders, ca, cb):
         total = total * m + (xa + xb) % m
     return GroupTable(n, total, "x".join(f"C{m}" for m in orders))
+
+
+def product_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """int64 table of the direct product on ids i1*n2 + i2 for (i1, i2):
+    (i1, i2) * (j1, j2) = t1[i1, j1] * n2 + t2[i2, j2]."""
+    n2 = len(t2)
+    i1, i2 = np.divmod(np.arange(len(t1) * n2, dtype=np.int64), n2)
+    return t1.astype(np.int64)[i1[:, None], i1[None, :]] * n2 + t2[i2[:, None], i2[None, :]]
 
 
 def presentation_table(a: int, b: int, t: int, s: int) -> np.ndarray:

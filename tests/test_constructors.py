@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import abelian_group, perm_group, presentation_table, validate
+from conftest import abelian_group, perm_group, presentation_table, product_table, validate
 
 from leinster import constructors as con
 from leinster.claims import ENGINE_VALIDATION_CAP, pqrs_orders
@@ -34,7 +36,10 @@ class TestSpecs:
         assert Q.label == D.label == "Dic5"
         assert np.array_equal(Q.table, D.table)
 
-    @pytest.mark.parametrize("bad", ["", "C", "Cx", "D7", "Q6", "E8", "SD(x,2,3)", "C3x"])
+    @pytest.mark.parametrize("bad", [
+        "", "C", "Cx", "D7", "Q6", "E8", "SD(x,2,3)", "C3x",
+        "C0", "D0", "Q0", "Dic1", "SD(0,2,1)", "SD(3,0,1)",
+    ])
     def test_parse_rejects(self, bad):
         with pytest.raises(InputError):
             con.build(bad)
@@ -88,6 +93,24 @@ class TestBuilders:
         x, y = 3, 1  # id = i*b + j
         lhs = G.mul(G.mul(y, x), G.inv_array[y])
         assert lhs == 2 * 3  # x^2
+
+    @pytest.mark.parametrize("label", ["S3xC5", "Dic5xC19", "A4xC3", "SD(7,8,6)xC3"])
+    def test_non_abelian_products_match_oracle(self, label):
+        left, right = label.split("x")
+        want = product_table(con.build(left).table, con.build(right).table)
+        assert np.array_equal(con.build(label).table, want)
+
+    @pytest.mark.parametrize("label,budget", [("C2039", 1.2), ("Dic5xC19", 1.5), ("S3xC5xC7", 1.5)])
+    def test_builders_allocate_about_one_table(self, label, budget):
+        # the table itself plus small addends; int64 temporaries cast to
+        # int32 afterwards would hold three or four tables' worth at once
+        tracemalloc.start()
+        try:
+            G = con.build(label)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < budget * G.table.nbytes, peak / G.table.nbytes
 
     @pytest.mark.parametrize(
         "a,b,t", [(7, 8, 6), (31, 64, 30), (1021, 2, 1020), (2039, 1, 1), (1, 5, 0)]
