@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .groups import GroupTable, normal_subgroups
-from .numtheory import divisors
+from .numtheory import _divisors
 from .squarefree import MetacyclicDescriptor, split_metacyclic_normal_orders
 
 
@@ -59,7 +59,7 @@ class LeinsterReport:
         return cls(label=d["label"], order=d["order"], normal_orders=tuple(d["normal_orders"]))
 
 
-def report_from_orders(label: str, order: int, orders: list[int]) -> LeinsterReport:
+def report_from_orders(label: str, order: int, orders: list[int] | tuple[int, ...]) -> LeinsterReport:
     return LeinsterReport(label, order, tuple(sorted(orders)))
 
 
@@ -83,7 +83,7 @@ def analyze_split_metacyclic(a: int, b: int, t: int) -> LeinsterReport:
 
 def analyze_cyclic(n: int) -> LeinsterReport:
     """Structural path for a cyclic group: one normal subgroup per divisor."""
-    return report_from_orders(f"C{n}", n, divisors(n))
+    return report_from_orders(f"C{n}", n, _divisors(n))
 
 
 def analyze_coprime_product(r1: LeinsterReport, r2: LeinsterReport) -> LeinsterReport:

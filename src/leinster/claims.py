@@ -42,8 +42,8 @@ from .groups import (
 from .numtheory import (
     BOUNDS,
     EQUATIONS,
+    _divisors,
     check_bound,
-    divisors,
     factorize,
     is_perfect,
     is_prime,
@@ -109,7 +109,8 @@ def dihedral_normal_orders(m: int) -> list[int]:
     subgroup of the rotation C_m, the whole group, and (for even m) the two
     index-2 dihedral subgroups."""
     extra = [m, m] if m % 2 == 0 else []
-    return sorted(divisors(m) + extra + [2 * m])
+    # the divisors of m are those of 2m that divide m, all at most m
+    return [d for d in _divisors(2 * m) if m % d == 0] + extra + [2 * m]
 
 
 def dicyclic_normal_orders(m: int) -> list[int]:
@@ -117,18 +118,68 @@ def dicyclic_normal_orders(m: int) -> list[int]:
     subgroup of the cyclic C_{2m}, the whole group, and (for even m) the two
     index-2 dicyclic subgroups."""
     extra = [2 * m, 2 * m] if m % 2 == 0 else []
-    return sorted(divisors(2 * m) + extra + [4 * m])
+    return [d for d in _divisors(4 * m) if 2 * m % d == 0] + extra + [4 * m]
 
 
-def _split_metacyclic_specs(n: int) -> list[tuple[int, int, int]]:
+def _connected(edges: list[int], full: int) -> bool:
+    """Whether the edges, each a bitmask of the vertices it joins, join the
+    vertices of full into one component."""
+    reached = edges[0]
+    for _ in edges:  # each pass joins one more edge until none is left to join
+        for e in edges:
+            if e & reached:
+                reached |= e
+    return reached == full
+
+
+def _split_metacyclic_specs(
+    n: int, *, nontrivial: bool = False, indecomposable: bool = False
+) -> list[tuple[int, int, int]]:
     """All canonical (a, b, t) with ab = n, gcd(a,b)=1, t^b=1 mod a, t != 1,
-    sorted."""
-    return [
-        (a, n // a, t)
-        for a in divisors(n)
-        if a >= 3 and n // a >= 2 and math.gcd(a, n // a) == 1
-        for t, _ in twist_classes(a, n // a)
-    ]
+    sorted.  With nontrivial, only the twists that fix no prime power of a;
+    with indecomposable, only the specs whose action graph is connected
+    (see census_universe)."""
+    # bit i stands for the prime power q_i = p_i^k_i || n, and a kernel a
+    # prime to b = n / a is a product of them, S its bits; a twist fixes the
+    # 2-part of an even a, as b is odd
+    fac = factorize(n)
+    pks = [p**k for p, k in fac]
+    kernels = [(1, 0)]
+    for i, (p, _) in enumerate(fac):
+        if not (nontrivial and p == 2):
+            kernels += [(a * pks[i], S | 1 << i) for a, S in kernels]
+    kernels.sort()
+    if indecomposable:
+        # links[j] holds the i with p_j | p_i - 1: the kernel graph of a has
+        # an edge q_i - p_j for q_i | a and p_j | b, and holds every action graph
+        links = [sum(1 << i for i, (p, _) in enumerate(fac) if (p - 1) % r == 0) for r, _ in fac]
+        full = (1 << len(fac)) - 1
+    out = []
+    for a, S in kernels:
+        b = n // a
+        if a < 3 or b < 2:
+            continue
+        if indecomposable and not _connected(
+            [1 << j | links[j] & S for j in range(len(fac)) if not S >> j & 1], full
+        ):
+            continue
+        for t, _ in twist_classes(a, b, nontrivial=nontrivial):
+            if indecomposable and not _connected(_action_edges(t, a, b, S, pks, links), full):
+                continue
+            out.append((a, b, t))
+    return out
+
+
+def _action_edges(t: int, a: int, b: int, S: int, pks: list[int], links: list[int]) -> list[int]:
+    """The action graph of SD(a,b,t): for each p_j | b, its bit and those of
+    the q_i in links[j] & S with t^(b / p_j^k_j) != 1 mod q_i."""
+    edges = []
+    for j, rk in enumerate(pks):
+        if not S >> j & 1:
+            te = pow(t, b // rk, a)
+            reach = links[j] & S
+            edges.append(1 << j | sum(1 << i for i, q in enumerate(pks) if reach >> i & 1 and te % q != 1))
+    return edges
 
 
 def _offer(pool: dict, priority: int, rep: LeinsterReport) -> None:
@@ -151,11 +202,30 @@ def census_universe(bound: int) -> tuple[int, list[LeinsterReport], list[int]]:
 
     A fingerprint's winner is its smallest (priority, label), the families
     ranking cyclic 0, D 1, Dic 2, named 3, squarefree 4, coprime product 5,
-    split metacyclic 6.  Offers that provably lose to a higher-ranked family
-    are not built: specs and products at squarefree orders, where every group
-    is one of the descriptors; the cyclic descriptor and cyclic x cyclic
-    products, which are C{n}; and a spec whose twist fixes a prime power q of
-    a, which is SD(a/q, b, t) x C_q and is offered by the products."""
+    split metacyclic 6.  An offer that provably loses to one still made
+    would change nothing, so it is not built:
+    - specs and products at squarefree orders, where every group is one of
+      the descriptors;
+    - the cyclic descriptor and cyclic x cyclic products, which are C{n};
+    - Dic{m} for even m, whose fingerprint is that of D{4m};
+    - the descriptor SF(a,2,a-1) and the spec SD(a,2,a-1), which are D{2a},
+      and the spec SD(a,4,a-1), which is Dic{a} (a is odd);
+    - a spec whose twist fixes a prime power q of a, which is
+      SD(a/q, b, t) x C_q and is offered by the products;
+    - above bound/2, a decomposable spec.  A spec (a, b, t) has an action
+      graph on the prime powers q || a and the primes r | b, with an edge
+      q - r when r divides the order of t mod q.  When it is disconnected,
+      the group is (C_a1 x| C_b1) x (C_a2 x| C_b2) for one connected block
+      and the rest: coprime orders o1, o2 <= n/2, each side a spec fixing no
+      prime power, a descriptor or a cyclic group, so its fingerprint is in
+      factors[o1] and factors[o2] and the products offer the spec's
+      fingerprint at rank 5.  factors[o] is taken before the products of
+      order o are offered, so a decomposable spec stands in for its product
+      there; the rule holds only where no winner is kept as a factor, at
+      2n > bound.  A kernel a whose graph (q - r when r | p - 1) is
+      disconnected is skipped whole, as every action graph is a subgraph
+      of it.
+    """
     if bound < 1:
         raise InputError(f"census bound must be >= 1, got {bound}")
     if bound > CENSUS_CAP:
@@ -175,7 +245,7 @@ def census_universe(bound: int) -> tuple[int, list[LeinsterReport], list[int]]:
         _offer(pool, 0, analyze_cyclic(n))
         if n % 2 == 0 and n >= 4:
             _offer(pool, 1, report_from_orders(f"D{n}", n, dihedral_normal_orders(n // 2)))
-        if n % 4 == 0 and n >= 8:
+        if n % 8 == 4 and n >= 12:  # Dic{m} for even m has the fingerprint of D{4m}
             _offer(pool, 2, report_from_orders(f"Dic{n // 4}", n, dicyclic_normal_orders(n // 4)))
         for rep in named.get(n, ()):
             _offer(pool, 3, rep)
@@ -186,42 +256,40 @@ def census_universe(bound: int) -> tuple[int, list[LeinsterReport], list[int]]:
             if len(descs) != holder_count(n):
                 holder_mismatch.append(n)
             for d in descs:
-                if d.b > 1:  # b = 1 is C{n}
+                # b = 1 is C{n}, and b = 2 with t = -1 is D{n}
+                if d.b > 1 and not (d.b == 2 and d.t == d.a - 1):
                     _offer(pool, 4, analyze_descriptor(d))
         else:
-            for a, b, t in _split_metacyclic_specs(n):
-                # a twist fixing a prime power q || a makes the spec
-                # SD(a/q, b, t) x C_q, whose fingerprint the products offer
-                if all(t % p**k != 1 for p, k in factorize(a)):
+            specs = _split_metacyclic_specs(n, nontrivial=True, indecomposable=2 * n > bound)
+            for a, b, t in specs:
+                # t = -1 makes SD(a,2,t) the D{n} and SD(a,4,t) the Dic{a} above
+                if not (t == a - 1 and b in (2, 4)):
                     _offer(pool, 6, analyze_split_metacyclic(a, b, t))
         if 2 * n <= bound:
+            # C{n} was offered first and nothing displaces it, so it leads
             factors[n] = [rep for _, _, rep in pool.values()]
 
         # coprime products (cyclic factors go last in the label); these rank
         # below the squarefree descriptors, which is why none is built at a
         # squarefree order, and above the raw split-metacyclic labels, so
         # that e.g. the Dic7xC13 name wins over an isomorphic SD(...)
-        for o1 in () if squarefree else divisors(n):
+        for o1 in () if squarefree else _divisors(n):
             o2 = n // o1
             if o1 >= o2:
                 break
             if o1 == 1 or math.gcd(o1, o2) != 1:
                 continue
-            for r1 in factors[o1]:
-                c1 = _is_cyclic_report(r1)
-                for r2 in factors[o2]:
-                    if not c1:
-                        _offer(pool, 5, analyze_coprime_product(r1, r2))
-                    elif not _is_cyclic_report(r2):  # C{o1}xC{o2} is C{n}
-                        _offer(pool, 5, analyze_coprime_product(r2, r1))
+            (c1, *rest1), (c2, *rest2) = factors[o1], factors[o2]
+            for r1 in rest1:
+                _offer(pool, 5, analyze_coprime_product(r1, c2))
+                for r2 in rest2:
+                    _offer(pool, 5, analyze_coprime_product(r1, r2))
+            for r2 in rest2:  # C{o1}xC{o2} is C{n}
+                _offer(pool, 5, analyze_coprime_product(r2, c1))
 
         size += len(pool)
         hits += sorted((rep for _, _, rep in pool.values() if rep.is_leinster), key=lambda r: r.label)
     return size, hits, holder_mismatch
-
-
-def _is_cyclic_report(rep: LeinsterReport) -> bool:
-    return rep.label.startswith("C") and rep.label[1:].isdigit()
 
 
 def _engine_agrees(rep: LeinsterReport) -> bool:

@@ -42,13 +42,16 @@ def _metacyclic_group(a: int, b: int, t: int, s: int, label: str) -> GroupTable:
     # columns, then per row block j the wrap term and the y-part, each a b x n
     # array broadcast over i.  The x-part is 1/b of the buffer and np.repeat
     # copies one into the other: peaks of 1.5 tables for Dic511, 1.08 for
-    # SD(31,64,30), and 1.0 for b = 1, where the x-part is the table.  The
-    # b x n addends are 1/a of it.  No entry reaches a^2
+    # SD(31,64,30), and 1.0 for b = 1, where the x-part is the table and
+    # neither the wrap term nor the y-part adds anything.  The b x n addends
+    # are 1/a of it.  No entry reaches a^2
     x = tp[j][:, None] * np.arange(a, dtype=np.int32)
     x += i[:, None]
     x %= a
+    if b == 1:
+        return GroupTable(n, x, label)
     jl = j[:b, None] + j[None, :]  # j + l for row block j and column (k, l)
-    table = x if b == 1 else np.repeat(x, b, axis=1)
+    table = np.repeat(x, b, axis=1)
     blocks = table.reshape(a, b, n)  # [i, j] is the row of x^i y^j
     if s:
         blocks += np.where(jl >= b, np.int32(s), np.int32(0))

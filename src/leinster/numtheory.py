@@ -23,16 +23,21 @@ from .errors import InputError
 MAX_SCAN_BOUND = 2_000_000
 
 
-def primes_upto(n: int) -> list[int]:
-    """All primes <= n, ascending (simple sieve)."""
-    if n < 2:
-        return []
+def _sieve(n: int) -> bytearray:
+    """Entry k is 1 when k is prime, for 0 <= k <= n; n >= 1."""
     sieve = bytearray([1]) * (n + 1)
     sieve[0] = sieve[1] = 0
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return list(itertools.compress(range(n + 1), sieve))
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return sieve
+
+
+def primes_upto(n: int) -> list[int]:
+    """All primes <= n, ascending (simple sieve)."""
+    if n < 2:
+        return []
+    return list(itertools.compress(range(n + 1), _sieve(n)))
 
 
 def is_prime(n: int) -> bool:
@@ -85,8 +90,12 @@ def divisors(n: int) -> list[int]:
 def _divisors(n: int) -> tuple[int, ...]:
     divs = [1]
     for p, e in factorize(n):
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return tuple(sorted(divs))
+        layer = divs
+        for _ in range(e):  # the divisors so far times p, p^2, ..., p^e
+            layer = [d * p for d in layer]
+            divs += layer
+    divs.sort()
+    return tuple(divs)
 
 
 def divisor_sum(n: int) -> int:
@@ -197,19 +206,26 @@ def _ascending(seq: tuple[int, ...]) -> bool:
 def scan_equation(eq: EquationSpec, bounds: dict[str, int]) -> list[tuple[int, ...]]:
     """All prime tuples (free..., dependent) within bounds satisfying eq.
 
-    Exact arithmetic throughout; result sorted lexicographically.
+    Exact arithmetic throughout; result sorted lexicographically.  The last
+    free variable, whose bound is the widest in the registry (up to 10^6),
+    is streamed off its sieve inside the product over the others, so its
+    primes are never held as a list.
     """
     _check_bounds(eq, bounds)
     fixed = tuple(value for _, value in eq.fixed)
     top = bounds[eq.dependent]
+    *outer, last = eq.free
+    sieve = _sieve(bounds[last])
     hits = []
-    for free in itertools.product(*(primes_upto(bounds[name]) for name in eq.free)):
-        num, den = eq.solved(*fixed, *free)
-        if den <= 0 or num <= 0 or num % den != 0:
-            continue
-        dep = num // den
-        if dep <= top and is_prime(dep) and _ascending(fixed + free + (dep,)):
-            hits.append(free + (dep,))
+    for head in itertools.product(*(primes_upto(bounds[name]) for name in outer)):
+        for p in itertools.compress(range(len(sieve)), sieve):
+            free = head + (p,)
+            num, den = eq.solved(*fixed, *free)
+            if den <= 0 or num <= 0 or num % den != 0:
+                continue
+            dep = num // den
+            if dep <= top and is_prime(dep) and _ascending(fixed + free + (dep,)):
+                hits.append(free + (dep,))
     return sorted(hits)
 
 

@@ -8,6 +8,7 @@ independent safety net, and the two are required to agree).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -15,7 +16,7 @@ from functools import lru_cache
 from . import constructors
 from .errors import InputError
 from .groups import GroupTable
-from .numtheory import divisors, factorize, is_squarefree, order_is_exactly, prime_factors
+from .numtheory import _divisors, divisors, factorize, is_squarefree, order_is_exactly, prime_factors
 
 
 @dataclass(frozen=True, order=True)
@@ -84,6 +85,16 @@ def canonical_twist(a: int, b: int, t: int) -> int:
     return min(pow(t, k, a) for k in range(1, b + 1) if math.gcd(k, b) == 1)
 
 
+@lru_cache(maxsize=256)
+def _generator_mask(m: int) -> bytes:
+    """Entry j - 1 is 1 when gcd(j, m) = 1, for j = 1..m: which powers t^j
+    of a twist of order m generate <t>."""
+    mask = bytearray([1]) * m
+    for r in prime_factors(m):
+        mask[r - 1 :: r] = bytes(m // r)
+    return bytes(mask)
+
+
 @lru_cache(maxsize=8192)
 def _unit_components(a: int) -> tuple[tuple[int, int, int, int], ...]:
     """(p^k, p - 1, w, e) for each odd prime power p^k || a.
@@ -105,35 +116,47 @@ def _unit_components(a: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(out)
 
 
-def twist_classes(a: int, b: int) -> list[tuple[int, int]]:
+def twist_classes(a: int, b: int, *, nontrivial: bool = False) -> list[tuple[int, int]]:
     """(canonical twist, order) of every orbit {t^k : gcd(k, b) = 1} of the
-    twists t != 1 with t^b = 1 mod a, ascending, for gcd(a, b) = 1.
+    twists t != 1 with t^b = 1 mod a, ascending, for gcd(a, b) = 1.  With
+    nontrivial, only the twists with t != 1 mod every prime power of a.
 
     The solutions form the product over odd p^k || a of the subgroups of
-    order gcd(b, p - 1) of (Z/p^k)^* (p does not divide b), assembled by CRT,
-    so the work is proportional to the output.  An orbit is the set of
-    generators of <t>; walking the solutions in ascending order, the first
-    member met of each orbit is its minimum, i.e. canonical_twist(a, b, t).
+    order gcd(b, p - 1) of (Z/p^k)^* (p does not divide b), assembled by CRT.
+    A nontrivial twist skips the identity of every factor, so none exists
+    when a is even (b is odd, so t = 1 mod 2^k) or when some gcd(b, p - 1)
+    is 1; either way the work is proportional to the kept output.  An orbit
+    is the set of generators of <t>; walking the solutions in ascending
+    order, the first member met of each orbit is its minimum, i.e.
+    canonical_twist(a, b, t).
     """
     if math.gcd(a, b) != 1:
         raise InputError(f"need gcd(a, b) = 1, got ({a}, {b})")
+    comps = _unit_components(a)
+    orders = [math.gcd(b, p1) for _, p1, _, _ in comps]
+    if nontrivial and (a < 3 or a % 2 == 0 or 1 in orders):
+        return []
     sols = [1]
-    for q, p1, w, e in _unit_components(a):
-        d = math.gcd(b, p1)
+    for (q, p1, w, e), d in zip(comps, orders):
         if d > 1:
             h = pow(w, p1 // d, q)  # generates the subgroup of order d
-            lifts = [(pow(h, i, q) - 1) * e for i in range(d)]
+            lifts = [(pow(h, i, q) - 1) * e for i in range(nontrivial, d)]
             sols = [(s + x) % a for s in sols for x in lifts]
+    sols.sort()
+    if not nontrivial:
+        del sols[0]  # t = 1
     out = []
     seen = set()
-    for t in sorted(sols)[1:]:
+    for t in sols:
         if t in seen:
             continue
         powers = [t]
-        while powers[-1] != 1:
-            powers.append(powers[-1] * t % a)
+        x = t
+        while x != 1:
+            x = x * t % a
+            powers.append(x)
         m = len(powers)
-        seen.update(x for j, x in enumerate(powers, 1) if math.gcd(j, m) == 1)
+        seen.update(itertools.compress(powers, _generator_mask(m)))
         out.append((t, m))
     return out
 
@@ -144,12 +167,13 @@ def enumerate_squarefree(n: int) -> tuple[MetacyclicDescriptor, ...]:
     if n < 1 or not is_squarefree(n):
         raise InputError(f"{n} is not a squarefree positive integer")
     found = []
-    for a in divisors(n):
+    for a in _divisors(n):
         b = n // a
         if b == 1:
             found.append(MetacyclicDescriptor(a, 1, 1))
-        else:
-            # a faithful twist has order exactly b
+        elif math.lcm(*[p - 1 for p, _ in factorize(a)]) % b == 0:
+            # a faithful twist has order exactly b, so each prime r | b divides
+            # some p - 1, p | a: lcm_p gcd(b, p - 1) = b
             found.extend(MetacyclicDescriptor(a, b, t) for t, m in twist_classes(a, b) if m == b)
     return tuple(found)
 
@@ -194,10 +218,10 @@ def split_metacyclic_normal_orders(a: int, b: int, t: int) -> list[int]:
     if pow(t, b, a) != 1 % a:
         raise InputError(f"twist {t} does not satisfy t^{b} = 1 mod {a}")
     orders = []
-    for f in divisors(b):
-        e = b // f
-        te = pow(t, e, a)
-        g = a if te == 1 % a else math.gcd(a, te - 1)
-        orders += [a // d * f for d in divisors(g)]
+    for f in _divisors(b):
+        g = math.gcd(a, pow(t, b // f, a) - 1)
+        # a / d for d | g is (a / g) * (g / d), and g / d runs over the divisors of g
+        base = a // g * f
+        orders += [base * d for d in _divisors(g)]
     orders.sort()
     return orders

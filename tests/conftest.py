@@ -48,12 +48,7 @@ from leinster.analysis import (
     analyze_split_metacyclic,
     report_from_orders,
 )
-from leinster.claims import (
-    NAMED_FAMILY_LABELS,
-    _is_cyclic_report,
-    dicyclic_normal_orders,
-    dihedral_normal_orders,
-)
+from leinster.claims import NAMED_FAMILY_LABELS, dicyclic_normal_orders, dihedral_normal_orders
 from leinster.errors import InputError
 from leinster.groups import GroupTable
 from leinster.numtheory import divisors, is_squarefree, order_is_exactly
@@ -382,6 +377,10 @@ def enumerate_squarefree_bruteforce(n: int) -> tuple[MetacyclicDescriptor, ...]:
             if math.gcd(t, a) == 1 and order_is_exactly(t, a, b):
                 found.add(MetacyclicDescriptor(a, b, canonical_twist(a, b, t)))
     return tuple(sorted(found, key=lambda d: (d.a, d.t)))
+
+
+def _is_cyclic_report(rep) -> bool:
+    return rep.label.startswith("C") and rep.label[1:].isdigit()
 
 
 def census_universe_pooled(bound: int) -> list:

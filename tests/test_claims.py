@@ -39,7 +39,26 @@ from leinster.constructors import build
 from leinster.errors import InputError
 from leinster.groups import TABLE_CAP
 from leinster.numtheory import BOUNDS, EQUATIONS, divisors, factorize, is_squarefree, primes_upto
-from leinster.squarefree import MetacyclicDescriptor, enumerate_squarefree
+from leinster.squarefree import MetacyclicDescriptor, canonical_twist, enumerate_squarefree
+
+
+def _action_blocks(a: int, b: int, t: int) -> list[tuple[set, set]]:
+    """Connected components (prime powers q || a, primes r | b) of the action
+    graph of SD(a,b,t), whose edges q - r are the r dividing the order of t
+    mod q, found by repeated multiplication."""
+    blocks = []
+    for p, k in factorize(a):
+        q = p**k
+        order = next(m for m in range(1, b + 1) if pow(t, m, q) == 1)
+        blocks.append(({q}, {r for r, _ in factorize(b) if order % r == 0}))
+    blocks += [(set(), {r}) for r, _ in factorize(b)]
+    merged = []
+    for qs, rs in blocks:
+        for other in [m for m in merged if m[1] & rs]:
+            merged.remove(other)
+            qs, rs = qs | other[0], rs | other[1]
+        merged.append((qs, rs))
+    return merged
 
 
 class TestCensus:
@@ -54,7 +73,8 @@ class TestCensus:
         large = cmd_census(200).evidence["hits"]
         assert large[: len(small)] == small
 
-    @pytest.mark.parametrize("bound", [1, 2, 80, 400, 2000])
+    # 1001 puts order 501 above bound/2, where decomposable specs are skipped
+    @pytest.mark.parametrize("bound", [1, 2, 80, 400, 1001, 2000])
     def test_streamed_census_equals_pooled_oracle(self, bound):
         universe = census_universe_pooled(bound)
         hits = [r for r in universe if r.is_leinster]
@@ -135,6 +155,62 @@ class TestCensus:
                     h = analyze_split_metacyclic(a // q, b, t % (a // q))
                     prod = analyze_coprime_product(h, analyze_cyclic(q))
                     assert prod.normal_orders == spec, (a, b, t, q)
+
+    def test_spec_keywords_filter_the_default_list(self):
+        # nontrivial drops the twists that fix a prime power of a, and
+        # indecomposable also those whose action graph is disconnected
+        for n in range(2, 2001):
+            nontrivial = [
+                (a, b, t)
+                for a, b, t in _split_metacyclic_specs(n)
+                if all(t % p**k != 1 for p, k in factorize(a))
+            ]
+            assert _split_metacyclic_specs(n, nontrivial=True) == nontrivial, n
+            connected = [s for s in nontrivial if len(_action_blocks(*s)) == 1]
+            assert _split_metacyclic_specs(n, nontrivial=True, indecomposable=True) == connected, n
+
+    def test_decomposable_specs_are_offered_as_products(self):
+        # the premise of the rule census_universe applies above bound/2, for
+        # n <= 2000: a spec with a disconnected action graph is one block
+        # times the rest, and each side is offered at its own order
+        descriptor_fps = {}
+        for n in range(2, 2001):
+            if is_squarefree(n):
+                descriptor_fps[n] = {analyze_descriptor(d).normal_orders for d in enumerate_squarefree(n)}
+                continue
+            for a, b, t in _split_metacyclic_specs(n, nontrivial=True):
+                blocks = _action_blocks(a, b, t)
+                if len(blocks) == 1:
+                    continue
+                qs, rs = blocks[0]
+                a1 = math.prod(qs)
+                b1 = math.prod(r**k for r, k in factorize(b) if r in rs)
+                sides = []
+                for x, y in ((a1, b1), (a // a1, b // b1)):
+                    assert 2 * x * y <= n, (a, b, t)
+                    if x == 1 or y == 1:
+                        sides.append(analyze_cyclic(x * y))
+                        continue
+                    # the side's C_y is generated by the (b / y)-th power of C_b's generator
+                    side = analyze_split_metacyclic(x, y, pow(t, b // y, x))
+                    if is_squarefree(x * y):
+                        assert side.normal_orders in descriptor_fps[x * y], (a, b, t, x, y)
+                    else:
+                        twist = canonical_twist(x, y, pow(t, b // y, x))
+                        assert (x, y, twist) in _split_metacyclic_specs(x * y, nontrivial=True), (a, b, t)
+                    sides.append(side)
+                product = analyze_coprime_product(*sides)
+                assert product.normal_orders == analyze_split_metacyclic(a, b, t).normal_orders, (a, b, t)
+
+    def test_dihedral_and_dicyclic_twins_are_not_offered(self):
+        # the premise of the D and Dic rules in census_universe: Dic{m} for
+        # even m is D{4m}, and for odd a SD(a,2,a-1) is D{2a} (a descriptor
+        # when a is squarefree) and SD(a,4,a-1) is Dic{a}
+        for m in range(2, 2501, 2):
+            assert dicyclic_normal_orders(m) == dihedral_normal_orders(2 * m), m
+        for a in range(3, 2501, 2):
+            assert analyze_split_metacyclic(a, 2, a - 1).normal_orders == tuple(dihedral_normal_orders(a)), a
+            assert analyze_split_metacyclic(a, 4, a - 1).normal_orders == tuple(dicyclic_normal_orders(a)), a
 
     def test_holder_mismatch_makes_census_partial(self, monkeypatch):
         assert "holder_mismatch" not in cmd_census(60).evidence

@@ -11,12 +11,12 @@ from conftest import (
     twist_classes_bruteforce,
 )
 
-from leinster import constructors
+from leinster import constructors, squarefree
 from leinster.analysis import analyze
 from leinster.claims import corpus_groups
 from leinster.errors import InputError
 from leinster.groups import normal_subgroups
-from leinster.numtheory import divisors, is_squarefree
+from leinster.numtheory import divisors, factorize, is_squarefree, order_is_exactly
 from leinster.squarefree import (
     MetacyclicDescriptor,
     canonical_twist,
@@ -81,6 +81,32 @@ class TestEnumeration:
         fingerprints = {tuple(split_metacyclic_normal_orders(d.a, d.b, d.t)) for d in descs}
         assert len(fingerprints) == 4
 
+    def test_faithful_precheck_skips_exactly_the_kernels_without_one(self, monkeypatch):
+        # twist_classes is asked only for the kernels a | n that have a twist
+        # of order exactly b = n / a, found here by trying every unit
+        asked = []
+        real = squarefree.twist_classes
+        monkeypatch.setattr(squarefree, "twist_classes", lambda a, b: asked.append((a, b)) or real(a, b))
+        enumerate_squarefree.cache_clear()
+        try:
+            for n in range(2, 3001):
+                if not is_squarefree(n):
+                    continue
+                asked.clear()
+                enumerate_squarefree(n)
+                faithful = [
+                    (a, n // a)
+                    for a in divisors(n)
+                    if any(
+                        pow(t, n // a, a) == 1 and order_is_exactly(t, a, n // a)
+                        for t in range(2, a)
+                        if math.gcd(t, a) == 1
+                    )
+                ]
+                assert asked == faithful, n
+        finally:
+            enumerate_squarefree.cache_clear()
+
     def test_matches_bruteforce_oracle_up_to_2000(self):
         for n in range(1, 2001):
             if is_squarefree(n):
@@ -100,6 +126,25 @@ class TestTwistClasses:
     def test_matches_bruteforce_orbits(self, a, b):
         assume(math.gcd(a, b) == 1)
         assert twist_classes(a, b) == twist_classes_bruteforce(a, b)
+
+    # the examples above, plus an even a (its 2-part admits only t = 1),
+    # a = 7 * 11 with b = 3, where gcd(3, 11 - 1) = 1 fixes 11 in every
+    # twist, and the moduli 1 and 2
+    @given(st.integers(1, 3000), st.integers(1, 400))
+    @example(7, 8)
+    @example(7 * 13 * 19, 9)
+    @example(8 * 7 * 13, 9)
+    @example(3 * 5 * 49 * 13, 4)
+    @example(2 * 7 * 13, 9)
+    @example(7 * 11, 3)
+    @example(1, 5)
+    @example(2, 7)
+    @settings(max_examples=200, deadline=None)
+    def test_nontrivial_matches_filtered_bruteforce_orbits(self, a, b):
+        assume(math.gcd(a, b) == 1)
+        prime_powers = [p**k for p, k in factorize(a)]
+        brute = [(t, m) for t, m in twist_classes_bruteforce(a, b) if all(t % q != 1 for q in prime_powers)]
+        assert twist_classes(a, b, nontrivial=True) == brute
 
     def test_unfaithful_orbits_are_kept(self):
         # C_6 acting on C_7 through quotients of order 2, 3 and 6: every orbit
