@@ -12,7 +12,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -57,6 +57,7 @@ from .squarefree import (
     enumerate_squarefree,
     holder_count,
     realize,
+    split_metacyclic_normal_orders,
     twist_classes,
 )
 
@@ -89,11 +90,17 @@ def _status(failures: list, checked: int) -> str:
     return "verified" if checked else "partial"
 
 
-def _timed(fn: Callable[[], ClaimResult]) -> ClaimResult:
-    t0 = time.monotonic()
-    res = fn()
-    res.elapsed_ms = int((time.monotonic() - t0) * 1000)
-    return res
+def _timed(fn: Callable[..., ClaimResult]) -> Callable[..., ClaimResult]:
+    """Wrap a claim so that its result carries the call's elapsed_ms."""
+
+    @wraps(fn)
+    def timed(*args, **kwargs) -> ClaimResult:
+        t0 = time.monotonic()
+        res = fn(*args, **kwargs)
+        res.elapsed_ms = int((time.monotonic() - t0) * 1000)
+        return res
+
+    return timed
 
 
 # ---------------------------------------------------------------------------
@@ -113,14 +120,6 @@ def dihedral_normal_orders(m: int) -> list[int]:
     return [d for d in _divisors(2 * m) if m % d == 0] + extra + [2 * m]
 
 
-def dicyclic_normal_orders(m: int) -> list[int]:
-    """Normal-subgroup orders of the dicyclic group of order 4m: every
-    subgroup of the cyclic C_{2m}, the whole group, and (for even m) the two
-    index-2 dicyclic subgroups."""
-    extra = [2 * m, 2 * m] if m % 2 == 0 else []
-    return [d for d in _divisors(4 * m) if 2 * m % d == 0] + extra + [4 * m]
-
-
 def _connected(edges: list[int], full: int) -> bool:
     """Whether the edges, each a bitmask of the vertices it joins, join the
     vertices of full into one component."""
@@ -132,21 +131,18 @@ def _connected(edges: list[int], full: int) -> bool:
     return reached == full
 
 
-def _split_metacyclic_specs(
-    n: int, *, nontrivial: bool = False, indecomposable: bool = False
-) -> list[tuple[int, int, int]]:
-    """All canonical (a, b, t) with ab = n, gcd(a,b)=1, t^b=1 mod a, t != 1,
-    sorted.  With nontrivial, only the twists that fix no prime power of a;
-    with indecomposable, only the specs whose action graph is connected
-    (see census_universe)."""
+def _split_metacyclic_specs(n: int, *, indecomposable: bool = False) -> list[tuple[int, int, int]]:
+    """All canonical (a, b, t) with ab = n, gcd(a,b)=1, t^b=1 mod a and t
+    fixing no prime power of a, sorted.  With indecomposable, only the specs
+    whose action graph is connected (see census_universe)."""
     # bit i stands for the prime power q_i = p_i^k_i || n, and a kernel a
     # prime to b = n / a is a product of them, S its bits; a twist fixes the
-    # 2-part of an even a, as b is odd
+    # 2-part of an even a, as b is odd, so no kernel holds the prime 2
     fac = factorize(n)
     pks = [p**k for p, k in fac]
     kernels = [(1, 0)]
     for i, (p, _) in enumerate(fac):
-        if not (nontrivial and p == 2):
+        if p != 2:
             kernels += [(a * pks[i], S | 1 << i) for a, S in kernels]
     kernels.sort()
     if indecomposable:
@@ -163,7 +159,7 @@ def _split_metacyclic_specs(
             [1 << j | links[j] & S for j in range(len(fac)) if not S >> j & 1], full
         ):
             continue
-        for t, _ in twist_classes(a, b, nontrivial=nontrivial):
+        for t, _ in twist_classes(a, b, nontrivial=True):
             if indecomposable and not _connected(_action_edges(t, a, b, S, pks, links), full):
                 continue
             out.append((a, b, t))
@@ -246,7 +242,8 @@ def census_universe(bound: int) -> tuple[int, list[LeinsterReport], list[int]]:
         if n % 2 == 0 and n >= 4:
             _offer(pool, 1, report_from_orders(f"D{n}", n, dihedral_normal_orders(n // 2)))
         if n % 8 == 4 and n >= 12:  # Dic{m} for even m has the fingerprint of D{4m}
-            _offer(pool, 2, report_from_orders(f"Dic{n // 4}", n, dicyclic_normal_orders(n // 4)))
+            m = n // 4  # odd, so Dic{m} is SD(m,4,m-1)
+            _offer(pool, 2, report_from_orders(f"Dic{m}", n, split_metacyclic_normal_orders(m, 4, m - 1)))
         for rep in named.get(n, ()):
             _offer(pool, 3, rep)
         squarefree = is_squarefree(n)
@@ -260,7 +257,7 @@ def census_universe(bound: int) -> tuple[int, list[LeinsterReport], list[int]]:
                 if d.b > 1 and not (d.b == 2 and d.t == d.a - 1):
                     _offer(pool, 4, analyze_descriptor(d))
         else:
-            specs = _split_metacyclic_specs(n, nontrivial=True, indecomposable=2 * n > bound)
+            specs = _split_metacyclic_specs(n, indecomposable=2 * n > bound)
             for a, b, t in specs:
                 # t = -1 makes SD(a,2,t) the D{n} and SD(a,4,t) the Dic{a} above
                 if not (t == a - 1 and b in (2, 4)):
@@ -302,42 +299,40 @@ def _engine_agrees(rep: LeinsterReport) -> bool:
     return analyze(G).normal_orders == rep.normal_orders
 
 
+@_timed
 def cmd_census(bound: int) -> ClaimResult:
-    def run() -> ClaimResult:
-        universe_size, hits, holder_mismatch = census_universe(bound)
-        # every hit small enough for a Cayley table is re-checked on the engine
-        engine_mismatch = [
-            r.label for r in hits if r.order <= TABLE_CAP and not _engine_agrees(r)
-        ]
-        p3q_hits = [
-            r.label
-            for r in hits
-            if sorted(e for _, e in factorize(r.order)) in ([1, 3], [4])
-        ]
-        note = (
-            "partial (candidate families only; "
-            + (", ".join(p3q_hits) if p3q_hits else "none")
-            + " found Leinster, no other hits)"
-        )
-        evidence = {
-            "bound": bound,
-            "universe_size": universe_size,
-            "hits": [r.to_json() for r in hits],
-            "p3q_coverage": note,
-        }
-        if holder_mismatch:
-            evidence["holder_mismatch"] = holder_mismatch
-        if engine_mismatch:
-            evidence["engine_mismatch"] = engine_mismatch
-        return ClaimResult(
-            claim_id=f"census-{bound}",
-            # an empty universe (bound 1) checked nothing
-            status="partial" if holder_mismatch or engine_mismatch or not universe_size else "verified",
-            statement="list all groups with sigma = 2|G| in the constructible universe",
-            evidence=evidence,
-        )
-
-    return _timed(run)
+    universe_size, hits, holder_mismatch = census_universe(bound)
+    # every hit small enough for a Cayley table is re-checked on the engine
+    engine_mismatch = [
+        r.label for r in hits if r.order <= TABLE_CAP and not _engine_agrees(r)
+    ]
+    p3q_hits = [
+        r.label
+        for r in hits
+        if sorted(e for _, e in factorize(r.order)) in ([1, 3], [4])
+    ]
+    note = (
+        "partial (candidate families only; "
+        + (", ".join(p3q_hits) if p3q_hits else "none")
+        + " found Leinster, no other hits)"
+    )
+    evidence = {
+        "bound": bound,
+        "universe_size": universe_size,
+        "hits": [r.to_json() for r in hits],
+        "p3q_coverage": note,
+    }
+    if holder_mismatch:
+        evidence["holder_mismatch"] = holder_mismatch
+    if engine_mismatch:
+        evidence["engine_mismatch"] = engine_mismatch
+    return ClaimResult(
+        claim_id=f"census-{bound}",
+        # an empty universe (bound 1) checked nothing
+        status="partial" if holder_mismatch or engine_mismatch or not universe_size else "verified",
+        statement="list all groups with sigma = 2|G| in the constructible universe",
+        evidence=evidence,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -381,45 +376,43 @@ def analyze_pqrs_order(n: int) -> dict:
     }
 
 
+@_timed
 def cmd_verify_pqrs(bound: int, jobs: int = 1) -> ClaimResult:
-    def run() -> ClaimResult:
-        if bound < 1:
-            raise InputError(f"pqrs bound must be >= 1, got {bound}")
-        orders = pqrs_orders(bound)
-        if jobs > 1 and len(orders) > 1:
-            from concurrent.futures import ProcessPoolExecutor
+    if bound < 1:
+        raise InputError(f"pqrs bound must be >= 1, got {bound}")
+    orders = pqrs_orders(bound)
+    if jobs > 1 and len(orders) > 1:
+        from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
-                per_order = list(pool.map(analyze_pqrs_order, orders))
-        else:
-            per_order = [analyze_pqrs_order(n) for n in orders]
-        all_counts = all(d["count_matches"] for d in per_order)
-        all_engine = all(d["engine_validated"] in (True, None) for d in per_order)
-        hits = [h for d in per_order for h in d["leinster_hits"]]
-        if not per_order:
-            status = "partial"  # no order in range, so nothing was checked
-        elif all_counts and all_engine and not hits:
-            status = "verified"
-        else:
-            status = "refuted"
-        return ClaimResult(
-            claim_id=f"pqrs-{bound}",
-            status=status,
-            statement=(
-                "no group whose order is a product of four distinct primes "
-                "has sigma = 2|G|; any hypothetical hit would need between 8 "
-                "and 10 normal subgroups"
-            ),
-            evidence={
-                "bound": bound,
-                "orders_checked": len(per_order),
-                "total_groups": sum(d["groups"] for d in per_order),
-                "leinster_hits": hits,
-                "per_order": per_order,
-            },
-        )
-
-    return _timed(run)
+        with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
+            per_order = list(pool.map(analyze_pqrs_order, orders))
+    else:
+        per_order = [analyze_pqrs_order(n) for n in orders]
+    all_counts = all(d["count_matches"] for d in per_order)
+    all_engine = all(d["engine_validated"] in (True, None) for d in per_order)
+    hits = [h for d in per_order for h in d["leinster_hits"]]
+    if not per_order:
+        status = "partial"  # no order in range, so nothing was checked
+    elif all_counts and all_engine and not hits:
+        status = "verified"
+    else:
+        status = "refuted"
+    return ClaimResult(
+        claim_id=f"pqrs-{bound}",
+        status=status,
+        statement=(
+            "no group whose order is a product of four distinct primes "
+            "has sigma = 2|G|; any hypothetical hit would need between 8 "
+            "and 10 normal subgroups"
+        ),
+        evidence={
+            "bound": bound,
+            "orders_checked": len(per_order),
+            "total_groups": sum(d["groups"] for d in per_order),
+            "leinster_hits": hits,
+            "per_order": per_order,
+        },
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -448,69 +441,59 @@ def p2qr_candidates(p: int, q: int, r: int) -> list[LeinsterReport]:
 
     # dicyclic times cyclic (the 2-part of a dicyclic group is 4)
     if p == 2:
-        for m, c in ((q, r), (r, q), (qr, 1)):
-            rep = report_from_orders(f"Dic{m}", 4 * m, dicyclic_normal_orders(m))
-            if c > 1:
-                rep = analyze_coprime_product(rep, analyze_cyclic(c))
-            _offer(pool, 0, rep)
+        for m, c in ((q, r), (r, q), (qr, 1)):  # m is odd, so Dic{m} is SD(m,4,m-1)
+            rep = report_from_orders(f"Dic{m}", 4 * m, split_metacyclic_normal_orders(m, 4, m - 1))
+            _offer(pool, 0, analyze_coprime_product(rep, analyze_cyclic(c)))
 
     # split semidirect with acting order p^2, times a cyclic complement
     pp = p * p
     for a in (q, r, qr):
         c = qr // a
         for t, _ in twist_classes(a, pp):
-            rep = analyze_split_metacyclic(a, pp, t)
-            if c > 1:
-                rep = analyze_coprime_product(rep, analyze_cyclic(c))
-            _offer(pool, 1, rep)
+            _offer(pool, 1, analyze_coprime_product(analyze_split_metacyclic(a, pp, t), analyze_cyclic(c)))
 
     return [rep for _, _, rep in sorted(pool.values(), key=lambda held: held[:2])]
 
 
+@_timed
 def cmd_verify_p2qr(prime_bound: int) -> ClaimResult:
-    def run() -> ClaimResult:
-        if prime_bound < 2:
-            raise InputError(f"prime bound must be >= 2, got {prime_bound}")
-        primes = primes_upto(prime_bound)
-        hits: list[LeinsterReport] = []
-        candidates = 0
-        for i, p in enumerate(primes):
-            for j in range(i + 1, len(primes)):
-                for k in range(j + 1, len(primes)):
-                    q, r = primes[j], primes[k]
-                    reps = p2qr_candidates(p, q, r)
-                    candidates += len(reps)
-                    hits.extend(rep for rep in reps if rep.is_leinster)
-        hits.sort(key=lambda h: (h.order, h.label))
-        expected = sorted(
-            label
-            for label, needed in (("Dic5xC19", (2, 5, 19)), ("Dic7xC13", (2, 7, 13)))
-            if all(x <= prime_bound for x in needed)
-        )
-        got = sorted(h.label for h in hits)
-        if got != expected:
-            status = "refuted"
-        else:
-            # a prime bound below 5 leaves no triple p < q < r to search
-            status = "verified" if candidates else "partial"
-        return ClaimResult(
-            claim_id=f"p2qr-{prime_bound}",
-            status=status,
-            statement=(
-                "within the constructible candidate families, the only groups "
-                "of order p^2*q*r with sigma = 2|G| are Dic5xC19 and Dic7xC13"
-            ),
-            evidence={
-                "prime_bound": prime_bound,
-                "candidates_checked": candidates,
-                "hits": [h.to_json() for h in hits],
-                "expected": expected,
-                "coverage": "partial: candidate families only, "
-                "not a full isomorphism-class enumeration of order p^2*q*r",
-            },
-        )
-
-    return _timed(run)
+    if prime_bound < 2:
+        raise InputError(f"prime bound must be >= 2, got {prime_bound}")
+    primes = primes_upto(prime_bound)
+    hits: list[LeinsterReport] = []
+    candidates = 0
+    for p, q, r in itertools.combinations(primes, 3):
+        reps = p2qr_candidates(p, q, r)
+        candidates += len(reps)
+        hits.extend(rep for rep in reps if rep.is_leinster)
+    hits.sort(key=lambda h: (h.order, h.label))
+    expected = sorted(
+        label
+        for label, needed in (("Dic5xC19", (2, 5, 19)), ("Dic7xC13", (2, 7, 13)))
+        if all(x <= prime_bound for x in needed)
+    )
+    got = sorted(h.label for h in hits)
+    if got != expected:
+        status = "refuted"
+    else:
+        # a prime bound below 5 leaves no triple p < q < r to search
+        status = "verified" if candidates else "partial"
+    return ClaimResult(
+        claim_id=f"p2qr-{prime_bound}",
+        status=status,
+        statement=(
+            "within the constructible candidate families, the only groups "
+            "of order p^2*q*r with sigma = 2|G| are Dic5xC19 and Dic7xC13"
+        ),
+        evidence={
+            "prime_bound": prime_bound,
+            "candidates_checked": candidates,
+            "hits": [h.to_json() for h in hits],
+            "expected": expected,
+            "coverage": "partial: candidate families only, "
+            "not a full isomorphism-class enumeration of order p^2*q*r",
+        },
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +538,7 @@ def _walk(groups: Iterable[GroupTable], suites: list) -> list[ClaimResult]:
             t0 = time.monotonic()
             suite.step(facts)
             spent[i] += time.monotonic() - t0
-    results = [_timed(suite.result) for suite in suites]
+    results = [_timed(suite.result)() for suite in suites]
     for res, s in zip(results, spent):
         res.elapsed_ms += int(s * 1000)
     return results
@@ -690,106 +673,96 @@ def property_suites(groups: Iterable[GroupTable]) -> list[ClaimResult]:
     return _walk(groups, [_Multiplicativity(), _PrimeIndexAbelian(), _NormalComplement(), _CyclicQuotients()])
 
 
+@_timed
 def claim_odd_normal_parity(census_hits: list[LeinsterReport]) -> ClaimResult:
-    def run() -> ClaimResult:
-        failures = [r.label for r in census_hits if r.odd_normal_count % 2 != 0]
-        return ClaimResult(
-            claim_id="rem-odd-normal-parity",
-            status=_status(failures, len(census_hits)),
-            statement=(
-                "every group with sigma = 2|G| has an even number of "
-                "odd-order normal subgroups"
-            ),
-            evidence={"groups_checked": len(census_hits), "failures": failures},
-        )
-
-    return _timed(run)
+    failures = [r.label for r in census_hits if r.odd_normal_count % 2 != 0]
+    return ClaimResult(
+        claim_id="rem-odd-normal-parity",
+        status=_status(failures, len(census_hits)),
+        statement=(
+            "every group with sigma = 2|G| has an even number of "
+            "odd-order normal subgroups"
+        ),
+        evidence={"groups_checked": len(census_hits), "failures": failures},
+    )
 
 
+@_timed
 def claim_tau_gt_7(census_hits: list[LeinsterReport]) -> ClaimResult:
-    def run() -> ClaimResult:
-        checked = 0
-        failures = []
-        for r in census_hits:
-            if sum(e for _, e in factorize(r.order)) != 4:
-                continue
-            if r.label == "SD(7,8,6)":
-                continue
-            checked += 1
-            if r.tau <= 7:
-                failures.append(r.label)
-        return ClaimResult(
-            claim_id="thm-tau-gt-7",
-            status=_status(failures, checked),
-            statement=(
-                "a group with sigma = 2|G| whose order is a product of four "
-                "primes, other than SD(7,8,6), has more than 7 normal subgroups"
-            ),
-            evidence={"groups_checked": checked, "failures": failures},
-        )
-
-    return _timed(run)
+    checked = 0
+    failures = []
+    for r in census_hits:
+        if sum(e for _, e in factorize(r.order)) != 4:
+            continue
+        if r.label == "SD(7,8,6)":
+            continue
+        checked += 1
+        if r.tau <= 7:
+            failures.append(r.label)
+    return ClaimResult(
+        claim_id="thm-tau-gt-7",
+        status=_status(failures, checked),
+        statement=(
+            "a group with sigma = 2|G| whose order is a product of four "
+            "primes, other than SD(7,8,6), has more than 7 normal subgroups"
+        ),
+        evidence={"groups_checked": checked, "failures": failures},
+    )
 
 
+@_timed
 def claim_cyclic_perfect() -> ClaimResult:
-    def run() -> ClaimResult:
-        bound = 10000
-        failures = [
-            n
-            for n in range(1, bound + 1)
-            if analyze_cyclic(n).is_leinster != is_perfect(n)
-        ]
-        return ClaimResult(
-            claim_id="thm-cyclic-perfect",
-            status="verified" if not failures else "refuted",
-            statement="a cyclic group attains sigma = 2n exactly when n is a perfect number",
-            evidence={"bound": bound, "failures": failures},
-        )
-
-    return _timed(run)
+    bound = 10000
+    failures = [
+        n
+        for n in range(1, bound + 1)
+        if analyze_cyclic(n).is_leinster != is_perfect(n)
+    ]
+    return ClaimResult(
+        claim_id="thm-cyclic-perfect",
+        status="verified" if not failures else "refuted",
+        statement="a cyclic group attains sigma = 2n exactly when n is a perfect number",
+        evidence={"bound": bound, "failures": failures},
+    )
 
 
 # -- equation and bound claims ----------------------------------------------
 
+@_timed
 def claim_equation(eq_id: str) -> ClaimResult:
-    def run() -> ClaimResult:
-        eq = EQUATIONS[eq_id]
-        hits = scan_equation(eq, eq.bounds)
-        oracle_hits = scan_equation_bruteforce(eq, eq.oracle_bounds)
-        fast_at_oracle = scan_equation(eq, eq.oracle_bounds)
-        ok = hits == list(eq.expected) and oracle_hits == fast_at_oracle
-        return ClaimResult(
-            claim_id=f"eq:{eq_id}",
-            status="verified" if ok else "refuted",
-            statement=f"prime solutions of the registered equation {eq_id} ({eq.note})",
-            evidence={
-                "bounds": eq.bounds,
-                "solutions": [list(t) for t in hits],
-                "expected": [list(t) for t in eq.expected],
-                "oracle_bounds": eq.oracle_bounds,
-                "oracle_agrees": oracle_hits == fast_at_oracle,
-            },
-        )
-
-    return _timed(run)
+    eq = EQUATIONS[eq_id]
+    hits = scan_equation(eq, eq.bounds)
+    oracle_hits = scan_equation_bruteforce(eq, eq.oracle_bounds)
+    fast_at_oracle = scan_equation(eq, eq.oracle_bounds)
+    ok = hits == list(eq.expected) and oracle_hits == fast_at_oracle
+    return ClaimResult(
+        claim_id=f"eq:{eq_id}",
+        status="verified" if ok else "refuted",
+        statement=f"prime solutions of the registered equation {eq_id} ({eq.note})",
+        evidence={
+            "bounds": eq.bounds,
+            "solutions": [list(t) for t in hits],
+            "expected": [list(t) for t in eq.expected],
+            "oracle_bounds": eq.oracle_bounds,
+            "oracle_agrees": oracle_hits == fast_at_oracle,
+        },
+    )
 
 
+@_timed
 def claim_bound(bound_id: str) -> ClaimResult:
-    def run() -> ClaimResult:
-        b = BOUNDS[bound_id]
-        total, ok = check_bound(b)
-        return ClaimResult(
-            claim_id=f"bound:{bound_id}",
-            status="verified" if ok else "refuted",
-            statement=f"the registered fraction bound {bound_id} sums strictly below 1 ({b.note})",
-            evidence={
-                "terms": [str(t) for t in b.terms],
-                "sum": str(total),
-                "strictly_below_one": ok,
-            },
-        )
-
-    return _timed(run)
+    b = BOUNDS[bound_id]
+    total, ok = check_bound(b)
+    return ClaimResult(
+        claim_id=f"bound:{bound_id}",
+        status="verified" if ok else "refuted",
+        statement=f"the registered fraction bound {bound_id} sums strictly below 1 ({b.note})",
+        evidence={
+            "terms": [str(t) for t in b.terms],
+            "sum": str(total),
+            "strictly_below_one": ok,
+        },
+    )
 
 
 def cmd_verify_theorems(corpus_bound: int = 200) -> list[ClaimResult]:

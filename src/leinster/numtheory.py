@@ -85,7 +85,9 @@ def divisors(n: int) -> list[int]:
 
 
 # the census asks for the divisors of the same few moduli in a row, so a
-# small cache keeps over 90% of the hits without holding one entry per n
+# small cache holds them without one entry per n: at bound 10 000 it serves
+# 88.7% of the lookups (135 218 of 152 524), each order's own tuple pushing
+# out small ones that are asked for again (measured in CHANGES.md, a FOUND line)
 @lru_cache(maxsize=1024)
 def _divisors(n: int) -> tuple[int, ...]:
     divs = [1]

@@ -217,8 +217,8 @@ def split_metacyclic_normal_orders(a: int, b: int, t: int) -> list[int]:
     t %= a
     if pow(t, b, a) != 1 % a:
         raise InputError(f"twist {t} does not satisfy t^{b} = 1 mod {a}")
-    orders = []
-    for f in _divisors(b):
+    orders = list(_divisors(a))  # f = 1: t^b = 1, so every subgroup of <x> is normal
+    for f in _divisors(b)[1:]:
         g = math.gcd(a, pow(t, b // f, a) - 1)
         # a / d for d | g is (a / g) * (g / d), and g / d runs over the divisors of g
         base = a // g * f

@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from conftest import census_universe_pooled, split_metacyclic_specs_bruteforce
+from conftest import census_universe_pooled, dicyclic_normal_orders, split_metacyclic_specs_bruteforce
 
 from leinster import analysis, claims
 from leinster.claims import (
@@ -20,7 +20,6 @@ from leinster.claims import (
     cmd_verify_pqrs,
     cmd_verify_theorems,
     corpus_groups,
-    dicyclic_normal_orders,
     dihedral_normal_orders,
     list_claim_ids,
     p2qr_candidates,
@@ -39,7 +38,12 @@ from leinster.constructors import build
 from leinster.errors import InputError
 from leinster.groups import TABLE_CAP
 from leinster.numtheory import BOUNDS, EQUATIONS, divisors, factorize, is_squarefree, primes_upto
-from leinster.squarefree import MetacyclicDescriptor, canonical_twist, enumerate_squarefree
+from leinster.squarefree import (
+    MetacyclicDescriptor,
+    canonical_twist,
+    enumerate_squarefree,
+    split_metacyclic_normal_orders,
+)
 
 
 def _action_blocks(a: int, b: int, t: int) -> list[tuple[set, set]]:
@@ -93,8 +97,13 @@ class TestCensus:
     def test_structural_dihedral_and_dicyclic_orders_match_engine(self):
         for m in range(1, 151):
             assert dihedral_normal_orders(m) == list(analyze(build(f"D{2 * m}")).normal_orders)
-        for m in range(2, 76):
-            assert dicyclic_normal_orders(m) == list(analyze(build(f"Dic{m}")).normal_orders)
+        # the census offers Dic{m} for odd m up to 2499 through SD(m,4,m-1);
+        # the engine reaches m = 511 (order 2044)
+        for m in [*range(2, 76), 77, 95, 127, 255, 511]:
+            engine = list(analyze(build(f"Dic{m}")).normal_orders)
+            assert dicyclic_normal_orders(m) == engine, m
+            if m % 2:
+                assert split_metacyclic_normal_orders(m, 4, m - 1) == engine, m
 
     def test_larger_hits_confirmed_by_engine(self):
         # the census bound 2000 finds hits at orders 760 and 992 via the
@@ -109,13 +118,21 @@ class TestCensus:
             assert rep.is_leinster
 
     def test_split_metacyclic_specs_match_bruteforce(self):
+        # the specs are the twists that fix no prime power of a
         for bound in (1, 6, 2000):
-            brute = split_metacyclic_specs_bruteforce(bound)
+            brute = [
+                (a, b, t)
+                for a, b, t in split_metacyclic_specs_bruteforce(bound)
+                if all(t % p**k != 1 for p, k in factorize(a))
+            ]
             for n in range(2, bound + 1):
                 assert _split_metacyclic_specs(n) == [s for s in brute if s[0] * s[1] == n], n
 
     def test_skipped_offers_cannot_win(self):
         # the premise of each offer census_universe does not build, n <= 2000
+        specs = {}  # every split metacyclic spec (a, b, t) with t != 1, by order
+        for a, b, t in split_metacyclic_specs_bruteforce(2000):
+            specs.setdefault(a * b, []).append((a, b, t))
         fps = {}  # descriptor fingerprints by squarefree order
         for n in range(2, 2001):
             if not is_squarefree(n):
@@ -124,7 +141,7 @@ class TestCensus:
             # the cyclic descriptor is C{n}
             assert analyze_descriptor(MetacyclicDescriptor(n, 1, 1)) == analyze_cyclic(n)
             # every spec of squarefree order is one of the descriptors
-            for a, b, t in _split_metacyclic_specs(n):
+            for a, b, t in specs.get(n, ()):
                 assert analyze_split_metacyclic(a, b, t).normal_orders in fps[n], (a, b, t)
             if n % 2 == 0 and n >= 4:
                 assert tuple(dihedral_normal_orders(n // 2)) in fps[n], n
@@ -148,7 +165,7 @@ class TestCensus:
             # a twist fixing a prime power q || a splits off C_q; so does the
             # product Q of all of them, and SD(a/Q, b, t) then fixes none, so
             # it is offered at order n/Q
-            for a, b, t in _split_metacyclic_specs(n):
+            for a, b, t in specs.get(n, ()):
                 spec = analyze_split_metacyclic(a, b, t).normal_orders
                 fixed = [p**k for p, k in factorize(a) if t % p**k == 1]
                 for q in fixed + [math.prod(fixed)]:
@@ -157,17 +174,10 @@ class TestCensus:
                     assert prod.normal_orders == spec, (a, b, t, q)
 
     def test_spec_keywords_filter_the_default_list(self):
-        # nontrivial drops the twists that fix a prime power of a, and
-        # indecomposable also those whose action graph is disconnected
+        # indecomposable drops the specs whose action graph is disconnected
         for n in range(2, 2001):
-            nontrivial = [
-                (a, b, t)
-                for a, b, t in _split_metacyclic_specs(n)
-                if all(t % p**k != 1 for p, k in factorize(a))
-            ]
-            assert _split_metacyclic_specs(n, nontrivial=True) == nontrivial, n
-            connected = [s for s in nontrivial if len(_action_blocks(*s)) == 1]
-            assert _split_metacyclic_specs(n, nontrivial=True, indecomposable=True) == connected, n
+            connected = [s for s in _split_metacyclic_specs(n) if len(_action_blocks(*s)) == 1]
+            assert _split_metacyclic_specs(n, indecomposable=True) == connected, n
 
     def test_decomposable_specs_are_offered_as_products(self):
         # the premise of the rule census_universe applies above bound/2, for
@@ -178,7 +188,7 @@ class TestCensus:
             if is_squarefree(n):
                 descriptor_fps[n] = {analyze_descriptor(d).normal_orders for d in enumerate_squarefree(n)}
                 continue
-            for a, b, t in _split_metacyclic_specs(n, nontrivial=True):
+            for a, b, t in _split_metacyclic_specs(n):
                 blocks = _action_blocks(a, b, t)
                 if len(blocks) == 1:
                     continue
@@ -197,7 +207,7 @@ class TestCensus:
                         assert side.normal_orders in descriptor_fps[x * y], (a, b, t, x, y)
                     else:
                         twist = canonical_twist(x, y, pow(t, b // y, x))
-                        assert (x, y, twist) in _split_metacyclic_specs(x * y, nontrivial=True), (a, b, t)
+                        assert (x, y, twist) in _split_metacyclic_specs(x * y), (a, b, t)
                     sides.append(side)
                 product = analyze_coprime_product(*sides)
                 assert product.normal_orders == analyze_split_metacyclic(a, b, t).normal_orders, (a, b, t)
@@ -528,3 +538,25 @@ def test_list_claim_ids():
     assert "census-<bound>" in ids
     assert len(ids) == len(set(ids))
     assert sum(1 for i in ids if i.startswith("bound:")) == len(BOUNDS)
+
+
+@pytest.mark.parametrize("name,call", [
+    ("cmd_census", lambda: cmd_census(30)),
+    ("cmd_verify_pqrs", lambda: cmd_verify_pqrs(30, jobs=2)),
+    ("cmd_verify_p2qr", lambda: cmd_verify_p2qr(7)),
+    ("claim_odd_normal_parity", lambda: claims.claim_odd_normal_parity([])),
+    ("claim_tau_gt_7", lambda: claims.claim_tau_gt_7([])),
+    ("claim_cyclic_perfect", claims.claim_cyclic_perfect),
+    ("claim_equation", lambda: claim_equation("lemma23")),
+    ("claim_bound", lambda: claim_bound(sorted(BOUNDS)[0])),
+])
+def test_claims_are_timed_by_one_decorator(name, call, monkeypatch):
+    # a clock that advances 125 ms per reading: each claim reads it once on
+    # entry and once on return, and nothing in between
+    ticks = itertools.count()
+    monkeypatch.setattr(claims.time, "monotonic", lambda: next(ticks) * 0.125)
+    assert call().elapsed_ms == 125
+    # the bench tracer names its spans by __name__ and unwraps to the function
+    fn = getattr(claims, name)
+    assert fn.__name__ == name
+    assert fn.__wrapped__.__name__ == name
