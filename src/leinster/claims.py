@@ -120,62 +120,55 @@ def dihedral_normal_orders(m: int) -> list[int]:
     return [d for d in _divisors(2 * m) if m % d == 0] + extra + [2 * m]
 
 
-def _connected(edges: list[int], full: int) -> bool:
-    """Whether the edges, each a bitmask of the vertices it joins, join the
-    vertices of full into one component."""
-    reached = edges[0]
-    for _ in edges:  # each pass joins one more edge until none is left to join
-        for e in edges:
-            if e & reached:
-                reached |= e
-    return reached == full
+def _connected(reach: list[int]) -> bool:
+    """Whether the primes r | b, each joined to the primes of its entry of
+    reach, are linked into one component: the entries are merged with gcd
+    and lcm while one shares a prime with the merged product, and every
+    entry must then be in it (an entry 1 joins nothing)."""
+    merged = reach[0]
+    for _ in reach:  # each pass joins one more entry until none is left to join
+        for x in reach:
+            if math.gcd(x, merged) > 1:
+                merged = math.lcm(merged, x)
+    return 1 not in reach and merged == math.lcm(*reach)
 
 
 def _split_metacyclic_specs(n: int, *, indecomposable: bool = False) -> list[tuple[int, int, int]]:
     """All canonical (a, b, t) with ab = n, gcd(a,b)=1, t^b=1 mod a and t
     fixing no prime power of a, sorted.  With indecomposable, only the specs
-    whose action graph is connected (see census_universe)."""
-    # bit i stands for the prime power q_i = p_i^k_i || n, and a kernel a
-    # prime to b = n / a is a product of them, S its bits; a twist fixes the
-    # 2-part of an even a, as b is odd, so no kernel holds the prime 2
+    whose action graph is connected (see census_universe).
+
+    The action graph joins each r^k || b to the q || a with t^(b/r^k) != 1
+    mod q, the primes of a // gcd(a, t^(b/r^k) - 1).  A twist fixing no q
+    joins every q, so the graph is connected iff these entries link all the
+    r.  It lies in the kernel graph of a, which joins r to the q = p^k with
+    r | p - 1, so a kernel whose r are not linked there is skipped whole.  A
+    kernel with an isolated q is not, but then gcd(b, p - 1) = 1 and
+    twist_classes returns no twist for it.
+    """
+    # a kernel a prime to b = n / a is a product of prime powers q || n; a
+    # twist fixes the 2-part of an even a, as b is odd, so none holds 2
     fac = factorize(n)
-    pks = [p**k for p, k in fac]
-    kernels = [(1, 0)]
-    for i, (p, _) in enumerate(fac):
+    kernels = [1]
+    for p, k in fac:
         if p != 2:
-            kernels += [(a * pks[i], S | 1 << i) for a, S in kernels]
+            kernels += [a * p**k for a in kernels]
     kernels.sort()
-    if indecomposable:
-        # links[j] holds the i with p_j | p_i - 1: the kernel graph of a has
-        # an edge q_i - p_j for q_i | a and p_j | b, and holds every action graph
-        links = [sum(1 << i for i, (p, _) in enumerate(fac) if (p - 1) % r == 0) for r, _ in fac]
-        full = (1 << len(fac)) - 1
     out = []
-    for a, S in kernels:
+    for a in kernels:
         b = n // a
         if a < 3 or b < 2:
             continue
-        if indecomposable and not _connected(
-            [1 << j | links[j] & S for j in range(len(fac)) if not S >> j & 1], full
-        ):
-            continue
+        if indecomposable:
+            rks = [(r, r**k) for r, k in fac if b % r == 0]
+            kernel_reach = [math.prod(p**k for p, k in fac if a % p == 0 and (p - 1) % r == 0) for r, _ in rks]
+            if not _connected(kernel_reach):
+                continue
         for t, _ in twist_classes(a, b, nontrivial=True):
-            if indecomposable and not _connected(_action_edges(t, a, b, S, pks, links), full):
+            if indecomposable and not _connected([a // math.gcd(a, pow(t, b // rk, a) - 1) for _, rk in rks]):
                 continue
             out.append((a, b, t))
     return out
-
-
-def _action_edges(t: int, a: int, b: int, S: int, pks: list[int], links: list[int]) -> list[int]:
-    """The action graph of SD(a,b,t): for each p_j | b, its bit and those of
-    the q_i in links[j] & S with t^(b / p_j^k_j) != 1 mod q_i."""
-    edges = []
-    for j, rk in enumerate(pks):
-        if not S >> j & 1:
-            te = pow(t, b // rk, a)
-            reach = links[j] & S
-            edges.append(1 << j | sum(1 << i for i, q in enumerate(pks) if reach >> i & 1 and te % q != 1))
-    return edges
 
 
 def _offer(pool: dict, priority: int, rep: LeinsterReport) -> None:
@@ -218,9 +211,7 @@ def census_universe(bound: int) -> tuple[int, list[LeinsterReport], list[int]]:
       fingerprint at rank 5.  factors[o] is taken before the products of
       order o are offered, so a decomposable spec stands in for its product
       there; the rule holds only where no winner is kept as a factor, at
-      2n > bound.  A kernel a whose graph (q - r when r | p - 1) is
-      disconnected is skipped whole, as every action graph is a subgraph
-      of it.
+      2n > bound.  _split_metacyclic_specs tests connectivity with gcd.
     """
     if bound < 1:
         raise InputError(f"census bound must be >= 1, got {bound}")

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .numtheory import prime_factors
+from .numtheory import factorize, prime_factors
 
 TABLE_CAP = 2048  # engine capacity: the largest order with a Cayley table
 
@@ -275,14 +275,6 @@ def quotient(G: GroupTable, N: np.ndarray) -> GroupTable:
 # Element orders, Sylow subgroups
 # ---------------------------------------------------------------------------
 
-def _p_part(n: int, p: int) -> int:
-    pk = 1
-    while n % p == 0:
-        n //= p
-        pk *= p
-    return pk
-
-
 def _powers(G: GroupTable, ids: np.ndarray, exps: np.ndarray) -> np.ndarray:
     """ids[i] ** exps[i] for every i, by square-and-multiply over the table."""
     t = G.table
@@ -316,9 +308,9 @@ def sylow(G: GroupTable, p: int) -> np.ndarray:
     """One Sylow p-subgroup, deterministic: the closure of the p-element of
     largest order with the smallest id, grown one p-element at a time."""
     n = G.order
-    if p < 2 or n % p != 0:
-        raise InputError(f"{p} does not divide the group order {n}")
-    pk = _p_part(n, p)
+    pk = p ** next((k for q, k in factorize(n) if q == p), 0)
+    if pk == 1:
+        raise InputError(f"{p} is not a prime dividing the group order {n}")
     orders = _element_orders(G)
     # an element order divides n, so it is a power of p iff it divides pk
     p_elems = np.flatnonzero(pk % orders == 0)

@@ -11,6 +11,7 @@ from conftest import census_universe_pooled, dicyclic_normal_orders, split_metac
 
 from leinster import analysis, claims
 from leinster.claims import (
+    CENSUS_CAP,
     _split_metacyclic_specs,
     census_universe,
     claim_bound,
@@ -174,8 +175,9 @@ class TestCensus:
                     assert prod.normal_orders == spec, (a, b, t, q)
 
     def test_spec_keywords_filter_the_default_list(self):
-        # indecomposable drops the specs whose action graph is disconnected
-        for n in range(2, 2001):
+        # indecomposable drops the specs whose action graph is disconnected,
+        # checked at every order the census applies the rule to
+        for n in range(2, CENSUS_CAP + 1):
             connected = [s for s in _split_metacyclic_specs(n) if len(_action_blocks(*s)) == 1]
             assert _split_metacyclic_specs(n, indecomposable=True) == connected, n
 

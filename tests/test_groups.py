@@ -27,7 +27,6 @@ from leinster.groups import (
     _closure_ids,
     _element_orders,
     _left_coset_minima,
-    _p_part,
     center,
     derived_subgroup,
     direct_product,
@@ -35,7 +34,7 @@ from leinster.groups import (
     quotient,
     sylow,
 )
-from leinster.numtheory import prime_factors
+from leinster.numtheory import factorize, prime_factors
 from leinster.squarefree import enumerate_squarefree, realize
 
 
@@ -261,8 +260,10 @@ class TestQuotientSylowProduct:
         assert P.size == size
 
     def test_sylow_bad_prime(self):
-        with pytest.raises(InputError):
-            sylow(build("S3"), 5)
+        # p must be a prime dividing |G|: a divisor such as 4 or 6 is rejected
+        for spec, p in [("S3", 5), ("C8", 4), ("C12", 6), ("D12", 6), ("C12", 1)]:
+            with pytest.raises(InputError, match="is not a prime dividing the group order"):
+                sylow(build(spec), p)
 
     def test_direct_product(self):
         G = direct_product(build("S3"), build("C5"))
@@ -287,7 +288,7 @@ class TestElementOrdersAndSylow:
             for p in prime_factors(n):
                 P = sylow(G, p)
                 assert _closure_ids(G, P).tolist() == P.tolist(), (G.label, p)
-                assert P.size == _p_part(n, p), (G.label, p)
+                assert P.size == p ** dict(factorize(n))[p], (G.label, p)
                 assert all(P.size % G.element_order(g) == 0 for g in P.tolist()), (G.label, p)
 
 
