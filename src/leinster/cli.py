@@ -107,6 +107,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "pqrs" and args.jobs < 1:
         print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return 2
+    if args.out == "":
+        print("error: --out needs a file name", file=sys.stderr)
+        return 2
     if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
         print(f"error: --out directory does not exist: {args.out}", file=sys.stderr)
         return 2

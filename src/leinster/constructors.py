@@ -16,8 +16,8 @@ import numpy as np
 from .errors import InputError
 from .groups import GroupTable, check_capacity, direct_product
 
-# A4 and S3 show up in the candidate case analyses: (degree, even_only).
-NAMED_PERM_SPECS = {"A4": (4, True), "S3": (3, False)}
+# A4 and S3 show up in the candidate case analyses: (even_only, generators).
+NAMED_PERM_SPECS = {"A4": (True, ((1, 2, 0, 3), (1, 0, 3, 2))), "S3": (False, ((1, 2, 0), (1, 0, 2)))}
 
 
 # ---------------------------------------------------------------------------
@@ -26,10 +26,12 @@ NAMED_PERM_SPECS = {"A4": (4, True), "S3": (3, False)}
 
 def _metacyclic_group(a: int, b: int, t: int, s: int, label: str) -> GroupTable:
     """The group x^a = 1, y^b = x^s, y x y^-1 = x^t with 0 <= t, s < a, on
-    ids i*b + j for x^i y^j.  The product of x^i y^j and x^k y^l is
-    x^(i + t^j k + s [j + l >= b]) y^((j + l) mod b)."""
+    ids i*b + j for x^i y^j, generated by x = id b and y = id 1 (id b is
+    out of range when a = 1, where x is the identity).  The product of
+    x^i y^j and x^k y^l is x^(i + t^j k + s [j + l >= b]) y^((j + l) mod b)."""
     n = a * b
     check_capacity(n)
+    gens = [g for g in (b, 1) if g < n]
     tpow = [1 % a]
     for _ in range(b - 1):
         tpow.append(tpow[-1] * t % a)
@@ -49,7 +51,7 @@ def _metacyclic_group(a: int, b: int, t: int, s: int, label: str) -> GroupTable:
     x += i[:, None]
     x %= a
     if b == 1:
-        return GroupTable(n, x, label)
+        return GroupTable(n, x, gens, label)
     jl = j[:b, None] + j[None, :]  # j + l for row block j and column (k, l)
     table = np.repeat(x, b, axis=1)
     blocks = table.reshape(a, b, n)  # [i, j] is the row of x^i y^j
@@ -58,21 +60,21 @@ def _metacyclic_group(a: int, b: int, t: int, s: int, label: str) -> GroupTable:
         table %= a
     table *= b
     blocks += jl % b
-    return GroupTable(n, table, label)
+    return GroupTable(n, table, gens, label)
 
 
-def _permutation_group(degree: int, even_only: bool, label: str) -> GroupTable:
-    """Permutations of {0..degree-1} (only the even ones if asked) in
-    lexicographic order, which puts the identity first, composed as
-    (p q)[k] = p[q[k]]."""
+def _permutation_group(even_only: bool, gens: tuple, label: str) -> GroupTable:
+    """The group that gens generate: every permutation of {0..d-1}, or only
+    the even ones if asked, in lexicographic order, which puts the identity
+    first, composed as (p q)[k] = p[q[k]]."""
     perms = [
         p
-        for p in itertools.permutations(range(degree))
+        for p in itertools.permutations(range(len(gens[0])))
         if not even_only or sum(u > v for u, v in itertools.combinations(p, 2)) % 2 == 0
     ]
     index = {p: k for k, p in enumerate(perms)}
     table = [[index[tuple(p[k] for k in q)] for q in perms] for p in perms]
-    return GroupTable(len(perms), np.array(table), label)
+    return GroupTable(len(perms), np.array(table), [index[g] for g in gens], label)
 
 
 # ---------------------------------------------------------------------------

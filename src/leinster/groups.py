@@ -24,9 +24,9 @@ def check_capacity(order: int) -> None:
 
 
 class GroupTable:
-    """An explicit finite group on element ids 0..order-1."""
+    """An explicit finite group on element ids 0..order-1, generated by the ids gens."""
 
-    def __init__(self, order: int, table: np.ndarray, label: str = ""):
+    def __init__(self, order: int, table: np.ndarray, gens: Sequence[int], label: str = ""):
         if order < 1:
             raise InputError(f"group order must be positive, got {order}")
         check_capacity(order)
@@ -36,6 +36,7 @@ class GroupTable:
         self.order = order
         self.label = label
         self.table = table.astype(np.int32, copy=False)
+        self.gens = np.asarray(gens, dtype=np.int64)
         self._identity: int | None = None
         self._inv: np.ndarray | None = None
 
@@ -117,29 +118,20 @@ def _closure_ids(G: GroupTable, gens: Sequence[int]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def center(G: GroupTable) -> np.ndarray:
-    t = G.table
-    return np.flatnonzero((t == t.T).all(axis=1))
+    """The centralizer of the generators, from one n x |gens| compare."""
+    t, g = G.table, G.gens
+    return np.flatnonzero((t[:, g] == t[g].T).all(axis=1))
 
 
 def derived_subgroup(G: GroupTable) -> np.ndarray:
-    """G' as the normal closure of the commutators of a generating set.
+    """G' as the normal closure of the commutators of the generators.
 
-    The generators are taken greedily in id order, each outside the closure
-    of those before it, so there are at most log2 |G| of them.  If N is
-    normal and holds their commutators, the generators commute modulo N, so
-    G/N is abelian and G' <= N; hence G' is that normal closure.  It is the
-    subgroup generated by the conjugates of the commutators: one n x |comms|
-    gather, then one closure.
+    If N is normal and holds those commutators, the generators commute
+    modulo N, so G/N is abelian and G' <= N; hence G' is that normal
+    closure.  It is the subgroup generated by the conjugates of the
+    commutators: one n x |comms| gather, then one closure.
     """
-    t = G.table
-    inv = G.inv_array
-    gens: list[int] = []
-    span = np.zeros(G.order, dtype=bool)
-    span[G.identity] = True
-    while not span.all():
-        gens.append(int(np.argmin(span)))  # the smallest id outside the span
-        span[_closure_ids(G, gens)] = True
-    g = np.array(gens, dtype=np.int64)
+    t, inv, g = G.table, G.inv_array, G.gens
     # commutator(a, b) = (a b)(a^-1 b^-1)
     comms = t[t[g[:, None], g[None, :]], t[inv[g][:, None], inv[g][None, :]]]
     # the conjugates x c x^-1, marked in a mask rather than sorted by np.unique
@@ -268,7 +260,7 @@ def quotient(G: GroupTable, N: np.ndarray) -> GroupTable:
     # index an int32 map, so the n x n gather is built once in the table's dtype
     q = coset_of.astype(np.int32)[G.table[np.ix_(reps, reps)]]
     label = f"{G.label}/{N.size}" if G.label else ""
-    return GroupTable(reps.size, table=q, label=label)
+    return GroupTable(reps.size, table=q, gens=coset_of[G.gens], label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -341,4 +333,5 @@ def direct_product(G1: GroupTable, G2: GroupTable) -> GroupTable:
     label = f"{G1.label}x{G2.label}" if G1.label and G2.label else ""
     # every entry is below the product's order, so int32 holds it
     t = G1.table[:, None, :, None] * np.int32(n2) + G2.table[None, :, None, :]
-    return GroupTable(order, table=t.reshape(order, order), label=label)
+    gens = np.concatenate([G1.gens * n2 + G2.identity, G1.identity * n2 + G2.gens])
+    return GroupTable(order, table=t.reshape(order, order), gens=gens, label=label)

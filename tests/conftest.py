@@ -107,7 +107,7 @@ def abelian_group(orders: tuple[int, ...]) -> GroupTable:
     total = np.zeros((n, n), dtype=np.int64)
     for m, xa, xb in zip(orders, ca, cb):
         total = total * m + (xa + xb) % m
-    return GroupTable(n, total, "x".join(f"C{m}" for m in orders))
+    return GroupTable(n, total, range(n), "x".join(f"C{m}" for m in orders))
 
 
 def product_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
@@ -303,7 +303,8 @@ def quotient_coset_loop(G: GroupTable, N: np.ndarray) -> GroupTable:
         reps.append(g)
     reps_arr = np.array(reps, dtype=np.int64)
     label = f"{G.label}/{N.size}" if G.label else ""
-    return GroupTable(len(reps), table=coset_of[t[np.ix_(reps_arr, reps_arr)]], label=label)
+    table = coset_of[t[np.ix_(reps_arr, reps_arr)]]
+    return GroupTable(len(reps), table=table, gens=range(len(reps)), label=label)
 
 
 def sylow_growth_loop(G: GroupTable, p: int) -> np.ndarray:

@@ -64,6 +64,14 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    def test_empty_out_exits_two(self, capsys, monkeypatch):
+        # an empty path is not the absent --out: nothing goes to stdout
+        monkeypatch.setattr(cli, "cmd_census", lambda *a: pytest.fail("claim ran"))
+        assert main(["census", "--bound", "5", "--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_unwritable_out_exits_two(self, tmp_path, capsys):
         # the directory exists, but no file of a name this long can be created
         out = tmp_path / ("r" * 300)

@@ -47,7 +47,7 @@ class TestGroupTable:
         t = build("C4").table.copy()
         t[2, 3] = 2  # breaks the Latin-square property
         with pytest.raises(InputError):
-            validate(GroupTable(4, table=t, label="broken"))
+            validate(GroupTable(4, table=t, gens=range(4), label="broken"))
 
     def test_validate_rejects_nonassociative(self):
         # a quasigroup with identity that is not associative
@@ -57,7 +57,7 @@ class TestGroupTable:
                       [3, 2, 4, 0, 1],
                       [4, 3, 1, 2, 0]])
         with pytest.raises(InputError):
-            validate(GroupTable(5, table=t, label="loop"))
+            validate(GroupTable(5, table=t, gens=range(5), label="loop"))
 
     def test_identity_and_inverses(self):
         G = build("Dic5")
@@ -72,7 +72,7 @@ class TestGroupTable:
         t = build("C4").table
         relabelled = np.empty_like(t)
         relabelled[np.ix_(sigma, sigma)] = sigma[t]
-        G = GroupTable(4, table=relabelled)
+        G = GroupTable(4, table=relabelled, gens=range(4))
         assert G.identity == 2
         # inverses in C4: 0 -> 0, 1 -> 3, 2 -> 2, 3 -> 1, carried over by sigma
         assert G.inv_array[sigma].tolist() == sigma[[0, 3, 2, 1]].tolist()
@@ -80,13 +80,13 @@ class TestGroupTable:
     def test_table_without_identity_is_rejected(self):
         # x * y = x - y mod 4 is a Latin square, but no row is the identity
         ids = np.arange(4)
-        G = GroupTable(4, table=(ids[:, None] - ids[None, :]) % 4)
+        G = GroupTable(4, table=(ids[:, None] - ids[None, :]) % 4, gens=range(4))
         with pytest.raises(InputError, match="no identity"):
             G.identity
 
     def test_row_without_identity_is_rejected(self):
         # row 0 is the identity row, but row 2 holds no 0, so 2 has no inverse
-        G = GroupTable(3, table=np.array([[0, 1, 2], [1, 2, 0], [2, 1, 1]]))
+        G = GroupTable(3, table=np.array([[0, 1, 2], [1, 2, 0], [2, 1, 1]]), gens=range(3))
         assert G.identity == 0
         with pytest.raises(InputError, match="missing inverses"):
             G.inv_array
@@ -145,12 +145,21 @@ class TestInvariantSubgroups:
         assert center(build("Dic5")).size == 2
         assert center(build("C12")).size == 12
         assert center(build("D8")).size == 2
+        # C1 has no generators, and in D2 and SD(1,5,0) id b is out of range
+        assert center(build("C1")).size == 1
+        assert center(build("D2")).size == 2
+        assert center(build("SD(1,5,0)")).size == 5
+        assert center(build("A4xC5")).size == 5
 
     def test_derived(self):
         assert derived_subgroup(build("S3")).size == 3
         assert derived_subgroup(build("A4")).size == 4
         assert derived_subgroup(build("Dic5")).size == 5
         assert derived_subgroup(build("C12")).size == 1
+        assert derived_subgroup(build("C1")).size == 1
+        assert derived_subgroup(build("D2")).size == 1
+        assert derived_subgroup(build("SD(1,5,0)")).size == 1
+        assert derived_subgroup(build("A4xC5")).size == 4
 
     def test_is_normal(self):
         # coset minima, which quotient uses, decide normality
@@ -311,6 +320,18 @@ class TestPrimitivesMatchOracles:
         extra = [build(spec) for spec in ("C2xA4", "A4xC5", "A4xS3", "A4xD8")]
         for G in oracle_corpus() + extra:
             assert derived_subgroup(G).tolist() == derived_subgroup_sweep(G).tolist(), G.label
+
+    def test_builder_generators_generate_the_table(self):
+        # the generators center and derived_subgroup read: from the
+        # metacyclic builder (C1 has none, and id b is out of range in D2 and
+        # SD(1,5,0)), the named permutations, products and quotients
+        more = [build(spec) for spec in ("C1", "D2", "Dic2", "SD(1,5,0)", "A4xC5", "A4xD8")]
+        for G in oracle_corpus() + more:
+            assert _closure_ids(G, G.gens).tolist() == list(range(G.order)), G.label
+        for G in oracle_corpus():
+            for N in normal_subgroups(G):
+                Q = quotient(G, N)
+                assert _closure_ids(Q, Q.gens).tolist() == list(range(Q.order)), (G.label, N.size)
 
     def test_quotient_by_every_normal_subgroup(self):
         for G in oracle_corpus():
