@@ -61,7 +61,7 @@ from .squarefree import (
     twist_classes,
 )
 
-# Named small groups carried alongside the systematic families.
+# Named small groups that the property-suite corpus adds to the squarefree ones.
 NAMED_FAMILY_LABELS = ("A4", "S3", "SD(7,8,6)", "Dic3", "Dic5", "Dic7", "D12", "C28")
 
 
@@ -171,6 +171,11 @@ def _split_metacyclic_specs(n: int, *, indecomposable: bool = False) -> list[tup
     return out
 
 
+def _dicyclic_report(m: int) -> LeinsterReport:
+    """Dic{m} for odd m, which is SD(m,4,m-1)."""
+    return report_from_orders(f"Dic{m}", 4 * m, split_metacyclic_normal_orders(m, 4, m - 1))
+
+
 def _offer(pool: dict, priority: int, rep: LeinsterReport) -> None:
     """Keep rep unless its fingerprint, the sorted normal orders, already has
     a smaller (priority, label).  The winner does not depend on offer order."""
@@ -181,8 +186,8 @@ def _offer(pool: dict, priority: int, rep: LeinsterReport) -> None:
 
 def census_universe(bound: int) -> tuple[int, list[LeinsterReport], list[int]]:
     """One ascending pass over the orders n <= bound of the constructible
-    universe: cyclic, dihedral, dicyclic, named, squarefree, split metacyclic,
-    and pairwise coprime products of all of these.
+    universe, from normal orders alone (no Cayley table): cyclic, dihedral,
+    dicyclic, A4, squarefree, split metacyclic, and coprime products of these.
 
     Returns the number of distinct fingerprints, the Leinster hits sorted by
     (order, label), and the squarefree orders whose enumeration disagrees
@@ -190,9 +195,12 @@ def census_universe(bound: int) -> tuple[int, list[LeinsterReport], list[int]]:
     order's pool is settled before the next one starts.
 
     A fingerprint's winner is its smallest (priority, label), the families
-    ranking cyclic 0, D 1, Dic 2, named 3, squarefree 4, coprime product 5,
+    ranking cyclic 0, D 1, Dic 2, A4 3, squarefree 4, coprime product 5,
     split metacyclic 6.  An offer that provably loses to one still made
     would change nothing, so it is not built:
+    - the other named groups of the corpus: S3 is D6; Dic3, Dic5, Dic7,
+      D12 and C28 are offered under the same label at rank 0 to 2; and
+      SD(7,8,6) is a spec that no other offer at order 56 matches;
     - specs and products at squarefree orders, where every group is one of
       the descriptors;
     - the cyclic descriptor and cyclic x cyclic products, which are C{n};
@@ -218,10 +226,6 @@ def census_universe(bound: int) -> tuple[int, list[LeinsterReport], list[int]]:
     if bound > CENSUS_CAP:
         raise CapacityError(f"census bound {bound} exceeds the capacity {CENSUS_CAP}")
 
-    named: dict[int, list[LeinsterReport]] = {}
-    for label in NAMED_FAMILY_LABELS:
-        rep = analyze(constructors.build(label))
-        named.setdefault(rep.order, []).append(rep)
     # base winners by order: the factors of the products
     factors: dict[int, list[LeinsterReport]] = {}
     size = 0
@@ -233,10 +237,9 @@ def census_universe(bound: int) -> tuple[int, list[LeinsterReport], list[int]]:
         if n % 2 == 0 and n >= 4:
             _offer(pool, 1, report_from_orders(f"D{n}", n, dihedral_normal_orders(n // 2)))
         if n % 8 == 4 and n >= 12:  # Dic{m} for even m has the fingerprint of D{4m}
-            m = n // 4  # odd, so Dic{m} is SD(m,4,m-1)
-            _offer(pool, 2, report_from_orders(f"Dic{m}", n, split_metacyclic_normal_orders(m, 4, m - 1)))
-        for rep in named.get(n, ()):
-            _offer(pool, 3, rep)
+            _offer(pool, 2, _dicyclic_report(n // 4))
+        if n == 12:  # A4 is the one named group no family offers
+            _offer(pool, 3, report_from_orders("A4", 12, [1, 4, 12]))
         squarefree = is_squarefree(n)
         if squarefree:
             descs = enumerate_squarefree(n)
@@ -432,9 +435,8 @@ def p2qr_candidates(p: int, q: int, r: int) -> list[LeinsterReport]:
 
     # dicyclic times cyclic (the 2-part of a dicyclic group is 4)
     if p == 2:
-        for m, c in ((q, r), (r, q), (qr, 1)):  # m is odd, so Dic{m} is SD(m,4,m-1)
-            rep = report_from_orders(f"Dic{m}", 4 * m, split_metacyclic_normal_orders(m, 4, m - 1))
-            _offer(pool, 0, analyze_coprime_product(rep, analyze_cyclic(c)))
+        for m, c in ((q, r), (r, q), (qr, 1)):
+            _offer(pool, 0, analyze_coprime_product(_dicyclic_report(m), analyze_cyclic(c)))
 
     # split semidirect with acting order p^2, times a cyclic complement
     pp = p * p

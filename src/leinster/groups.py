@@ -113,6 +113,12 @@ def _closure_ids(G: GroupTable, gens: Sequence[int]) -> np.ndarray:
     return np.arange(n)
 
 
+def _conjugates(G: GroupTable, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    """The |xs| x |cs| array of x c x^-1, for x in xs and c in cs."""
+    t = G.table
+    return t[t[np.ix_(xs, cs)], G.inv_array[xs, None]]
+
+
 # ---------------------------------------------------------------------------
 # Center, derived subgroup
 # ---------------------------------------------------------------------------
@@ -131,12 +137,12 @@ def derived_subgroup(G: GroupTable) -> np.ndarray:
     closure.  It is the subgroup generated by the conjugates of the
     commutators: one n x |comms| gather, then one closure.
     """
-    t, inv, g = G.table, G.inv_array, G.gens
+    t, g, ginv = G.table, G.gens, G.inv_array[G.gens]
     # commutator(a, b) = (a b)(a^-1 b^-1)
-    comms = t[t[g[:, None], g[None, :]], t[inv[g][:, None], inv[g][None, :]]]
-    # the conjugates x c x^-1, marked in a mask rather than sorted by np.unique
+    comms = t[t[g[:, None], g[None, :]], t[ginv[:, None], ginv[None, :]]]
+    # the conjugates, marked in a mask rather than sorted by np.unique
     conj = np.zeros(G.order, dtype=bool)
-    conj[t[t[:, comms.ravel()], inv[:, None]]] = True
+    conj[_conjugates(G, np.arange(G.order), comms.ravel())] = True
     return _closure_ids(G, np.flatnonzero(conj))
 
 
@@ -144,18 +150,12 @@ def derived_subgroup(G: GroupTable) -> np.ndarray:
 # Normality, normal subgroups, quotients
 # ---------------------------------------------------------------------------
 
-def _left_coset_minima(G: GroupTable, H: np.ndarray) -> np.ndarray | None:
-    """min(gH) for every g, or None when the subgroup H is not normal.
-
-    The minimum of a coset lies in it, so it labels the coset, and H is
-    normal iff every left coset gH is the right coset Hg, i.e. iff the
-    left-coset minima equal the right-coset minima.
-    """
-    t = G.table
-    left = t[:, H].min(axis=1)
-    if not (left == t[H, :].min(axis=0)).all():
-        return None
-    return left
+def _is_normal(G: GroupTable, H: np.ndarray) -> bool:
+    """Whether the subgroup H is normal, i.e. g H g^-1 <= H for every
+    generator g: then g H g^-1 = H, so g^-1 and all products normalise H."""
+    mask = np.zeros(G.order, dtype=bool)
+    mask[H] = True
+    return bool(mask[_conjugates(G, G.gens, H)].all())
 
 
 def _mask_bytes(ids: np.ndarray, n: int) -> bytes:
@@ -185,7 +185,6 @@ def normal_subgroups(G: GroupTable) -> list[np.ndarray]:
     """
     n = G.order
     t = G.table
-    inv = G.inv_array
     e = G.identity
     found: dict[bytes, np.ndarray] = {}
     for ids in (np.array([e], dtype=np.int64), np.arange(n)):
@@ -200,8 +199,8 @@ def normal_subgroups(G: GroupTable) -> list[np.ndarray]:
     for g in range(n):
         if covered[g]:
             continue
-        # conj[x] = x g x^-1; keep one conjugator x per class member
-        cls, conjugators = np.unique(t[t[:, g], inv], return_index=True)
+        # one conjugator x per class member x g x^-1
+        cls, conjugators = np.unique(_conjugates(G, np.arange(n), [g]), return_index=True)
         ids = _closure_ids(G, cls)
         found.setdefault(_mask_bytes(ids, n), ids)
         # powers[k - 1] = g^k, doubled until the block holds the identity
@@ -210,7 +209,7 @@ def normal_subgroups(G: GroupTable) -> list[np.ndarray]:
             powers = np.concatenate([powers, t[powers, powers[-1]]])
         m = int(np.flatnonzero(powers == e)[0]) + 1
         gens = powers[:m][np.gcd(np.arange(1, m + 1), m) == 1]
-        covered[t[t[conjugators[:, None], gens[None, :]], inv[conjugators, None]]] = True
+        covered[_conjugates(G, conjugators, gens)] = True
 
     lattice = list(found.values())
     seeds = [ids for ids in lattice if 1 < ids.size < n]
@@ -252,11 +251,11 @@ def normal_subgroups(G: GroupTable) -> list[np.ndarray]:
 def quotient(G: GroupTable, N: np.ndarray) -> GroupTable:
     """Quotient group on the cosets of N, represented by their smallest ids
     in ascending order.  N must be a subgroup the engine returned; it raises
-    InputError when N is not normal."""
-    minima = _left_coset_minima(G, N)
-    if minima is None:
+    InputError when the generators do not normalise it (see _is_normal)."""
+    if not _is_normal(G, N):
         raise InputError("quotient requires a normal subgroup")
-    reps, coset_of = np.unique(minima, return_inverse=True)
+    # the minimum of a coset gN lies in it, so it labels the coset
+    reps, coset_of = np.unique(G.table[:, N].min(axis=1), return_inverse=True)
     # index an int32 map, so the n x n gather is built once in the table's dtype
     q = coset_of.astype(np.int32)[G.table[np.ix_(reps, reps)]]
     label = f"{G.label}/{N.size}" if G.label else ""
@@ -306,8 +305,6 @@ def sylow(G: GroupTable, p: int) -> np.ndarray:
     orders = _element_orders(G)
     # an element order divides n, so it is a power of p iff it divides pk
     p_elems = np.flatnonzero(pk % orders == 0)
-    t = G.table
-    inv = G.inv_array
     cur = _closure_ids(G, [p_elems[np.argmax(orders[p_elems])]])
     while cur.size < pk:
         mask = np.zeros(n, dtype=bool)
@@ -316,7 +313,7 @@ def sylow(G: GroupTable, p: int) -> np.ndarray:
         # c normalises cur iff c cur c^-1 lies in cur; a proper p-subgroup
         # of a Sylow subgroup P has a larger normaliser in P, so some
         # candidate does, and cur<c> is then a p-subgroup of order > |cur|
-        normalises = mask[t[t[np.ix_(cands, cur)], inv[cands, None]]].all(axis=1)
+        normalises = mask[_conjugates(G, cands, cur)].all(axis=1)
         cur = _closure_ids(G, np.append(cur, cands[np.argmax(normalises)]))
     return cur
 

@@ -78,12 +78,25 @@ class TestCensus:
         large = cmd_census(200).evidence["hits"]
         assert large[: len(small)] == small
 
-    # 1001 puts order 501 above bound/2, where decomposable specs are skipped
-    @pytest.mark.parametrize("bound", [1, 2, 80, 400, 1001, 2000])
+    # 1001 puts order 501 above bound/2, where decomposable specs are skipped;
+    # 12 and 56 are the orders of A4 and SD(7,8,6), and 111 and 112 the two
+    # sides of the bound/2 rule at 56.  The oracle offers every named group
+    # through the engine, the census only A4, from its normal orders.
+    @pytest.mark.parametrize("bound", [1, 2, 12, 56, 80, 111, 112, 400, 1001, 2000])
     def test_streamed_census_equals_pooled_oracle(self, bound):
         universe = census_universe_pooled(bound)
         hits = [r for r in universe if r.is_leinster]
         assert census_universe(bound) == (len(universe), hits, [])
+
+    def test_universe_builds_no_cayley_table(self, monkeypatch):
+        expected = census_universe(2000)
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("census_universe built a Cayley table")
+
+        monkeypatch.setattr(claims.constructors, "build", no_table)
+        monkeypatch.setattr(claims.GroupTable, "__init__", no_table)
+        assert census_universe(2000) == expected
 
     def test_rejects_bad_bound(self):
         with pytest.raises(InputError):

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -157,3 +159,15 @@ class TestOtherCommands:
     def test_version(self, capsys):
         assert main(["--version"]) == 0
         assert __version__ in capsys.readouterr().out
+
+
+def test_memory_gate_pqrs_pin_equals_the_bench_pin():
+    # the serial report's hash is kept by hand in the workflow's memory gate
+    # for pqrs --bound 2500 --jobs 2 and in the benchmark's pqrs-2500 workload
+    root = Path(__file__).resolve().parent.parent
+    bench = (root / "bench" / "run.py").read_text()
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+    bench_pin = re.search(r'"pqrs-2500": Workload\((?s:.*?)"([0-9a-f]{64})"', bench)
+    gate_pin = re.search(r'\["pqrs", "--bound", "2500", "--jobs", "2"\], "([0-9a-f]{64})"', workflow)
+    assert bench_pin and gate_pin
+    assert gate_pin.group(1) == bench_pin.group(1)

@@ -25,8 +25,9 @@ from leinster.errors import CapacityError, InputError
 from leinster.groups import (
     GroupTable,
     _closure_ids,
+    _conjugates,
     _element_orders,
-    _left_coset_minima,
+    _is_normal,
     center,
     derived_subgroup,
     direct_product,
@@ -162,13 +163,13 @@ class TestInvariantSubgroups:
         assert derived_subgroup(build("A4xC5")).size == 4
 
     def test_is_normal(self):
-        # coset minima, which quotient uses, decide normality
+        # conjugation by the generators, which quotient uses, decides normality
         G = build("S3")
         rot = _closure_ids(G, [3])  # a 3-cycle
-        assert rot.size == 3 and _left_coset_minima(G, rot) is not None
+        assert rot.size == 3 and _is_normal(G, rot)
         assert is_normal_bruteforce(G, frozenset(rot.tolist()))
         flip = _closure_ids(G, [1])
-        assert flip.size == 2 and _left_coset_minima(G, flip) is None
+        assert flip.size == 2 and not _is_normal(G, flip)
         assert not is_normal_bruteforce(G, frozenset(flip.tolist()))
 
 
@@ -222,7 +223,7 @@ class TestNormalSubgroups:
     def test_all_results_are_normal(self):
         G = build("D20")
         for N in normal_subgroups(G):
-            assert _left_coset_minima(G, N) is not None
+            assert _is_normal(G, N)
 
 
 class TestQuotientSylowProduct:
@@ -352,8 +353,18 @@ class TestPrimitivesMatchOracles:
         G = oracle_group
         for sub in all_subgroups_bruteforce(G):
             ids = np.array(sorted(sub))
-            normal = _left_coset_minima(G, ids) is not None
-            assert normal == is_normal_bruteforce(G, sub), (G.label, sorted(sub))
+            assert _is_normal(G, ids) == is_normal_bruteforce(G, sub), (G.label, sorted(sub))
+
+    def test_conjugates_match_the_table(self):
+        for G in oracle_corpus():
+            # every other id, descending: a proper subset in no sorted order
+            xs = np.arange(G.order)[1::2][::-1]
+            cs = np.arange(G.order)
+            conj = _conjugates(G, xs, cs)
+            assert conj.shape == (xs.size, cs.size), G.label
+            for i, x in enumerate(xs.tolist()):
+                for j, c in enumerate(cs.tolist()):
+                    assert conj[i, j] == G.mul(G.mul(x, c), G.inv_array[x]), (G.label, x, c)
 
     def test_results_are_ascending_closed_id_arrays(self):
         # a subgroup is the strictly ascending int64 array of its ids
