@@ -91,7 +91,7 @@ def _emit(text: str, out_path, code: int) -> int:
         else:
             sys.stdout.write(text)
     except OSError as exc:
-        print(f"error: cannot write the report to {out_path}: {exc.strerror or exc}", file=sys.stderr)
+        print(f"error: cannot write the report to {out_path or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     return code
 

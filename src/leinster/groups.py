@@ -8,6 +8,7 @@ deterministic.  A subgroup is the strictly ascending int64 array of its ids.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -37,8 +38,6 @@ class GroupTable:
         self.label = label
         self.table = table.astype(np.int32, copy=False)
         self.gens = np.asarray(gens, dtype=np.int64)
-        self._identity: int | None = None
-        self._inv: np.ndarray | None = None
 
     # -- multiplication ----------------------------------------------------
 
@@ -51,28 +50,24 @@ class GroupTable:
         if not 0 <= g < self.order:
             raise InputError(f"element id {g} out of range for order {self.order}")
 
-    @property
+    @cached_property
     def identity(self) -> int:
-        if self._identity is None:
-            # by cancellation e is the only x with x * 0 = 0; confirm its row
-            t = self.table
-            cand = np.flatnonzero(t[:, 0] == 0)
-            if cand.size != 1 or not (t[cand[0]] == np.arange(self.order)).all():
-                raise InputError("no identity element; not a group table")
-            self._identity = int(cand[0])
-        return self._identity
+        # by cancellation e is the only x with x * 0 = 0; confirm its row
+        t = self.table
+        cand = np.flatnonzero(t[:, 0] == 0)
+        if cand.size != 1 or not (t[cand[0]] == np.arange(self.order)).all():
+            raise InputError("no identity element; not a group table")
+        return int(cand[0])
 
-    @property
+    @cached_property
     def inv_array(self) -> np.ndarray:
-        if self._inv is None:
-            e = self.identity
-            # the first e in each row, or 0 for a row without one; one n-long
-            # gather then confirms that every row's pick is e
-            inv = np.argmax(self.table == e, axis=1).astype(np.int32)
-            if (self.table[np.arange(self.order), inv] != e).any():
-                raise InputError("missing inverses; not a group table")
-            self._inv = inv
-        return self._inv
+        e = self.identity
+        # the first e in each row, or 0 for a row without one; one n-long
+        # gather then confirms that every row's pick is e
+        inv = np.argmax(self.table == e, axis=1).astype(np.int32)
+        if (self.table[np.arange(self.order), inv] != e).any():
+            raise InputError("missing inverses; not a group table")
+        return inv
 
     def element_order(self, g: int) -> int:
         self._check_id(g)

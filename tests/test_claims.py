@@ -1,9 +1,11 @@
+import ast
 import hashlib
 import itertools
 import json
 import math
 import re
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -290,6 +292,12 @@ class TestPqrs:
         assert 2310 not in pqrs_orders(2500)
         assert pqrs_orders(500) == [210, 330, 390, 462]
 
+    def test_orders_leave_the_factorization_cache_alone(self):
+        # the cache would otherwise hold a factorization of every n <= bound
+        factorize.cache_clear()
+        pqrs_orders(2500)
+        assert factorize.cache_info().currsize == 0
+
     def test_small_bound_is_vacuous(self):
         # no order of four distinct primes is <= 100: nothing was checked
         res = cmd_verify_pqrs(100)
@@ -334,6 +342,41 @@ class TestPqrs:
         monkeypatch.setattr(claims.os, "cpu_count", lambda: cpus)
         assert cmd_verify_pqrs(500, jobs=jobs).status == "verified"
         assert seen == [workers]
+
+    def test_holder_mismatch_makes_pqrs_partial(self, monkeypatch):
+        # a failed cross-check is not a counterexample
+        real = claims.holder_count
+        monkeypatch.setattr(claims, "holder_count", lambda n: real(n) + (n == 330))
+        res = cmd_verify_pqrs(500)
+        assert res.status == "partial"
+        assert [d["order"] for d in res.evidence["per_order"] if not d["count_matches"]] == [330]
+
+    def test_engine_mismatch_makes_pqrs_partial(self, monkeypatch):
+        real = claims.analyze
+
+        def tampered(G):
+            r = real(G)
+            return LeinsterReport(r.label, r.order, r.normal_orders[1:]) if G.order == 210 else r
+
+        monkeypatch.setattr(claims, "analyze", tampered)
+        res = cmd_verify_pqrs(500)
+        assert res.status == "partial"
+        assert [d["order"] for d in res.evidence["per_order"] if not d["engine_validated"]] == [210]
+
+    def test_hit_makes_pqrs_refuted(self, monkeypatch):
+        # the tampered report is Leinster (1 + 3 + 10 + 21 + 70 + 105 + 210 = 420)
+        # and also fails the engine re-check: the hit still refutes
+        real = claims.analyze_descriptor
+        target = enumerate_squarefree(210)[0]
+
+        def tampered(d):
+            r = real(d)
+            return LeinsterReport(r.label, r.order, (1, 3, 10, 21, 70, 105, 210)) if d == target else r
+
+        monkeypatch.setattr(claims, "analyze_descriptor", tampered)
+        res = cmd_verify_pqrs(500)
+        assert res.status == "refuted"
+        assert [h["label"] for h in res.evidence["leinster_hits"]] == [real(target).label]
 
     def test_jobs_match_serial(self):
         serial = cmd_verify_pqrs(400)
@@ -575,3 +618,34 @@ def test_claims_are_timed_by_one_decorator(name, call, monkeypatch):
     fn = getattr(claims, name)
     assert fn.__name__ == name
     assert fn.__wrapped__.__name__ == name
+
+
+@pytest.mark.parametrize("failures,checked,status", [
+    ([], 0, "partial"),
+    (["G"], 0, "refuted"),
+    (["G"], 3, "refuted"),
+    ([], 3, "verified"),
+    (False, True, "verified"),
+    (True, True, "refuted"),
+    ([], [], "partial"),
+])
+def test_status_rule(failures, checked, status):
+    assert claims._status(failures, checked) == status
+
+
+def test_status_literals_occur_only_in_the_status_rule():
+    # every claim's verdict comes from _status; statement and coverage texts
+    # that merely contain the words are not the exact constants
+    tree = ast.parse(Path(claims.__file__).read_text())
+    rule = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_status")
+    statuses = {"verified", "refuted", "partial"}
+
+    def literals(node):
+        return [
+            n for n in ast.walk(node)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value in statuses
+        ]
+
+    inside = {id(n) for n in literals(rule)}
+    assert {n.value for n in literals(rule)} == statuses
+    assert [(n.lineno, n.value) for n in literals(tree) if id(n) not in inside] == []

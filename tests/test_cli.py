@@ -83,6 +83,30 @@ class TestExitCodes:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    def test_unwritable_stdout_exits_two(self, capsys, monkeypatch):
+        class BrokenStdout:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr("sys.stdout", BrokenStdout())
+        assert main(["census", "--bound", "40"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "stdout" in err
+
+    @pytest.mark.parametrize("args,claim_id", [
+        (["census", "--bound", "1"], "census-1"),
+        (["pqrs", "--bound", "100"], "pqrs-100"),
+        (["p2qr", "--prime-bound", "3"], "p2qr-3"),
+        (["theorems", "--corpus-bound", "0"], "thm-sigma-tau-multiplicative"),
+    ])
+    def test_partial_run_exits_one(self, args, claim_id, tmp_path, capsys):
+        assert main(args) == 1
+        assert f"{claim_id}: partial" in capsys.readouterr().out
+        code, doc = run_json(args, tmp_path)
+        assert code == 1
+        assert {c["claim_id"]: c["status"] for c in doc["claims"]}[claim_id] == "partial"
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_exits_two(self, jobs, capsys, monkeypatch):
         monkeypatch.setattr(cli, "cmd_verify_pqrs", lambda *a, **k: pytest.fail("claim ran"))
