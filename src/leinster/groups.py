@@ -162,21 +162,22 @@ def _mask_bytes(ids: np.ndarray, n: int) -> bytes:
 def normal_subgroups(G: GroupTable) -> list[np.ndarray]:
     """Complete duplicate-free list of normal subgroups, sorted by (size, ids).
 
-    Every normal subgroup is the join of the normal closures of its
-    elements.  One normal closure is computed per conjugacy class of
-    nontrivial cyclic subgroups (conjugate generators of conjugate cyclic
-    subgroups share one), and each stops as soon as it outgrows every proper
-    subgroup (Lagrange; see _closure_ids).  The lattice is {1}, G, these
-    seed closures, and every join of a found subgroup with one more proper
-    seed closure, to fixpoint.
+    Every normal subgroup N is the join of the normal closures of its
+    elements of prime-power order: each g in N is the product of its p-parts,
+    and each p-part is a power of g, so it lies in N.  One normal closure is
+    computed per conjugacy class of cyclic subgroups of prime-power order
+    (conjugate generators of conjugate cyclic subgroups share one), and each
+    stops as soon as it outgrows every proper subgroup (Lagrange; see
+    _closure_ids).  The lattice is {1}, G, these seed closures, and every
+    join of a found subgroup with one more proper seed closure, to fixpoint.
 
     The join of normal subgroups A and S is the product set AS of
     |A||S|/|A & S| elements; it is A when S lies in A, and G when that count
-    is |G|.  A proper normal subgroup is the union of the seeds it contains
-    (it is the union of the normal closures of its members, each a seed), so
-    a found subgroup of order |AS| that contains the seeds of A and S
-    contains AS and is AS.  Only when none qualifies is the product set
-    formed, and it is then new.
+    is |G|.  A proper normal subgroup is generated by the seeds it contains
+    (the normal closure of each of its prime-power elements is a seed), so a
+    found subgroup of order |AS| that contains the seeds of A and S contains
+    AS and is AS.  Only when none qualifies is the product set formed, and
+    it is then new.
     """
     n = G.order
     t = G.table
@@ -185,17 +186,21 @@ def normal_subgroups(G: GroupTable) -> list[np.ndarray]:
     for ids in (np.array([e], dtype=np.int64), np.arange(n)):
         found.setdefault(_mask_bytes(ids, n), ids)
 
-    # One normal-closure seed per conjugacy class of cyclic subgroups: the
-    # normal closure of g is the closure of its conjugacy class, and every
-    # conjugate of every generator g^k (gcd(k, |g|) = 1) of <g> has the same
-    # one, so all of them are marked covered once g is seeded.
-    covered = np.zeros(n, dtype=bool)
+    # One normal-closure seed per conjugacy class of cyclic subgroups of
+    # prime-power order (g has p-power order iff g^(p^k) = e, p^k the p-part
+    # of n): the normal closure of g is the closure of its conjugacy class,
+    # and every conjugate of every generator g^k (gcd(k, |g|) = 1) of <g> has
+    # the same one, so all of them are marked covered once g is seeded.
+    every = np.arange(n)
+    covered = np.ones(n, dtype=bool)
+    for p, k in factorize(n):
+        covered &= _powers(G, every, np.full(n, p**k)) != e
     covered[e] = True
-    for g in range(n):
+    for g in np.flatnonzero(~covered).tolist():
         if covered[g]:
             continue
         # one conjugator x per class member x g x^-1
-        cls, conjugators = np.unique(_conjugates(G, np.arange(n), [g]), return_index=True)
+        cls, conjugators = np.unique(_conjugates(G, every, [g]), return_index=True)
         ids = _closure_ids(G, cls)
         found.setdefault(_mask_bytes(ids, n), ids)
         # powers[k - 1] = g^k, doubled until the block holds the identity

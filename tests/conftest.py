@@ -469,6 +469,11 @@ ORACLE_SPECS = [
     "SD(7,8,6)",
     "S3xC5",
     "C3xD8",
+    # each has a normal subgroup that needs seeds of two primes
+    "C30",
+    "C6xC2",
+    "Dic3xC2",
+    "C4xC6",
 ]
 
 

@@ -407,6 +407,18 @@ class TestP2qr:
         assert res.status == "verified"
         assert res.evidence["hits"] == []
 
+    def test_missing_expected_hit_is_partial(self, monkeypatch):
+        # a candidate search that misses Dic5xC19 has found no counterexample
+        real = claims.p2qr_candidates
+
+        def tampered(p, q, r):
+            return [] if (p, q, r) == (2, 5, 19) else real(p, q, r)
+
+        monkeypatch.setattr(claims, "p2qr_candidates", tampered)
+        res = cmd_verify_p2qr(19)
+        assert res.status == "partial"
+        assert [h["label"] for h in res.evidence["hits"]] == ["Dic7xC13"]
+
     def test_no_prime_triple_is_partial(self):
         res = cmd_verify_p2qr(3)
         assert res.evidence["candidates_checked"] == 0

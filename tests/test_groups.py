@@ -180,8 +180,15 @@ class TestNormalSubgroups:
         assert set(engine) == normal_subgroups_bruteforce(oracle_group)
 
     def test_one_closure_per_class_of_cyclic_subgroups(self, oracle_group, monkeypatch):
+        # one closure per conjugacy class of nontrivial cyclic subgroups of
+        # prime-power order, each of a whole conjugacy class of elements
         G = oracle_group
-        cyclic = {cyclic_subgroup(G, g) for g in range(G.order) if g != G.identity}
+        orders = element_orders_sweep(G)
+
+        def conjugacy_class(g):
+            return frozenset(G.mul(G.mul(x, g), G.inv_array[x]) for x in range(G.order))
+
+        cyclic = {cyclic_subgroup(G, g) for g in range(G.order) if len(factorize(int(orders[g]))) == 1}
         classes = {
             frozenset(
                 frozenset(G.mul(G.mul(x, c), G.inv_array[x]) for c in C) for x in range(G.order)
@@ -198,6 +205,8 @@ class TestNormalSubgroups:
         monkeypatch.setattr(groups, "_closure_ids", counting)
         normal_subgroups(G)
         assert len(calls) == len(classes)
+        for gens in calls:
+            assert set(gens.tolist()) == conjugacy_class(int(gens[0]))
 
     def test_matches_pairwise_join_oracle(self):
         more = [realize(d) for n in (210, 330) for d in enumerate_squarefree(n)]

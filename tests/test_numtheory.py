@@ -3,6 +3,7 @@ import inspect
 
 import pytest
 
+from leinster import claims
 from leinster.claims import claim_equation
 from leinster.errors import InputError
 from leinster.numtheory import (
@@ -124,6 +125,15 @@ class TestEquationScanning:
         assert res.status == "refuted"
         assert res.evidence["oracle_agrees"] is False
         assert res.evidence["solutions"] != res.evidence["expected"]
+
+    def test_disagreeing_oracle_makes_equation_partial(self, monkeypatch):
+        # the solutions match, so a failed cross-check is not a counterexample
+        real = claims.scan_equation_bruteforce
+        monkeypatch.setattr(claims, "scan_equation_bruteforce", lambda eq, bounds: real(eq, bounds)[1:])
+        res = claim_equation("thm26-final")
+        assert res.status == "partial"
+        assert res.evidence["oracle_agrees"] is False
+        assert res.evidence["solutions"] == res.evidence["expected"]
 
     @pytest.mark.parametrize("eq_id", sorted(EQUATIONS))
     def test_callables_take_chain_positionally(self, eq_id):
