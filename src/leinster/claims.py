@@ -380,8 +380,15 @@ def cmd_verify_pqrs(bound: int, jobs: int = 1) -> ClaimResult:
     if jobs > 1 and len(orders) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
-            per_order = list(pool.map(analyze_pqrs_order, orders))
+        workers = min(jobs, os.cpu_count() or 1)
+        engine = [n for n in orders if n <= ENGINE_VALIDATION_CAP]
+        rest = orders[len(engine) :]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            # the engine re-checks are most of the work, so one per task; the
+            # cheap rest go about four chunks per worker, not one order a task
+            head = pool.map(analyze_pqrs_order, engine)
+            tail = pool.map(analyze_pqrs_order, rest, chunksize=max(1, len(rest) // (4 * workers)))
+            per_order = [*head, *tail]
     else:
         per_order = [analyze_pqrs_order(n) for n in orders]
     hits = [h for d in per_order for h in d["leinster_hits"]]

@@ -153,12 +153,6 @@ def _is_normal(G: GroupTable, H: np.ndarray) -> bool:
     return bool(mask[_conjugates(G, G.gens, H)].all())
 
 
-def _mask_bytes(ids: np.ndarray, n: int) -> bytes:
-    mask = np.zeros(n, dtype=bool)
-    mask[ids] = True
-    return np.packbits(mask).tobytes()
-
-
 def normal_subgroups(G: GroupTable) -> list[np.ndarray]:
     """Complete duplicate-free list of normal subgroups, sorted by (size, ids).
 
@@ -171,20 +165,17 @@ def normal_subgroups(G: GroupTable) -> list[np.ndarray]:
     _closure_ids).  The lattice is {1}, G, these seed closures, and every
     join of a found subgroup with one more proper seed closure, to fixpoint.
 
-    The join of normal subgroups A and S is the product set AS of
-    |A||S|/|A & S| elements; it is A when S lies in A, and G when that count
-    is |G|.  A proper normal subgroup is generated by the seeds it contains
-    (the normal closure of each of its prime-power elements is a seed), so a
-    found subgroup of order |AS| that contains the seeds of A and S contains
-    AS and is AS.  Only when none qualifies is the product set formed, and
-    it is then new.
+    A proper normal subgroup is generated by the seeds it contains, so it
+    is identified by its order and the seeds it holds, and a subgroup is
+    kept only when that pair is new.  The join of normal subgroups A and S
+    is the product set AS of |A||S|/|A & S| elements; it is A when S lies
+    in A, and G when that count is |G|.  Otherwise a found subgroup of order
+    |AS| holding the seeds of A and S is AS, and AS is formed only if none is.
     """
     n = G.order
     t = G.table
     e = G.identity
-    found: dict[bytes, np.ndarray] = {}
-    for ids in (np.array([e], dtype=np.int64), np.arange(n)):
-        found.setdefault(_mask_bytes(ids, n), ids)
+    lattice = [np.array([e], dtype=np.int64)] + [np.arange(n)] * (n > 1)
 
     # One normal-closure seed per conjugacy class of cyclic subgroups of
     # prime-power order (g has p-power order iff g^(p^k) = e, p^k the p-part
@@ -196,13 +187,15 @@ def normal_subgroups(G: GroupTable) -> list[np.ndarray]:
     for p, k in factorize(n):
         covered &= _powers(G, every, np.full(n, p**k)) != e
     covered[e] = True
+    seeds = []
     for g in np.flatnonzero(~covered).tolist():
         if covered[g]:
             continue
         # one conjugator x per class member x g x^-1
         cls, conjugators = np.unique(_conjugates(G, every, [g]), return_index=True)
         ids = _closure_ids(G, cls)
-        found.setdefault(_mask_bytes(ids, n), ids)
+        if ids.size < n:
+            seeds.append(ids)
         # powers[k - 1] = g^k, doubled until the block holds the identity
         powers = np.array([g])
         while not (powers == e).any():
@@ -211,14 +204,12 @@ def normal_subgroups(G: GroupTable) -> list[np.ndarray]:
         gens = powers[:m][np.gcd(np.arange(1, m + 1), m) == 1]
         covered[_conjugates(G, conjugators, gens)] = True
 
-    lattice = list(found.values())
-    seeds = [ids for ids in lattice if 1 < ids.size < n]
     in_seed = np.zeros((len(seeds), n), dtype=bool)
     for row, ids in zip(in_seed, seeds):
         row[ids] = True
     sizes = np.array([ids.size for ids in seeds])
     # seed_sets[order] holds, per found proper subgroup of that order, the
-    # bitmask of the seeds it contains
+    # bitmask of the seeds it contains (a repeated seed sets both its bits)
     seed_sets: dict[int, list[int]] = {}
     work = []
 
@@ -226,8 +217,10 @@ def normal_subgroups(G: GroupTable) -> list[np.ndarray]:
         # |ids & S| for every seed S, in one k x |ids| gather
         common = in_seed[:, ids].sum(axis=1)
         held = int.from_bytes(np.packbits(common == sizes, bitorder="little").tobytes(), "little")
-        seed_sets.setdefault(ids.size, []).append(held)
-        work.append((ids, common, held))
+        if held not in seed_sets.setdefault(ids.size, []):
+            seed_sets[ids.size].append(held)
+            lattice.append(ids)
+            work.append((ids, common, held))
 
     for ids in seeds:
         add(ids)
@@ -242,9 +235,7 @@ def normal_subgroups(G: GroupTable) -> list[np.ndarray]:
             mask[a] = True
             s = seeds[k]
             mask[t[a[:, None], s[~mask[s]][None, :]].ravel()] = True
-            joined = np.flatnonzero(mask)
-            lattice.append(joined)
-            add(joined)
+            add(np.flatnonzero(mask))
     return sorted(lattice, key=lambda ids: (ids.size, ids.tolist()))
 
 

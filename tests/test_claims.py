@@ -320,10 +320,10 @@ class TestPqrs:
 
     @pytest.mark.parametrize("jobs,cpus,workers", [(64, 2, 2), (3, 8, 3), (4, None, 1)])
     def test_jobs_clamped_to_cpu_count(self, jobs, cpus, workers, monkeypatch):
-        # a stand-in pool records max_workers and maps in this process
+        # a stand-in pool records max_workers and chunksize, and maps in this process
         import concurrent.futures
 
-        seen = []
+        seen, chunks = [], []
 
         class RecordingPool:
             def __init__(self, max_workers):
@@ -335,13 +335,15 @@ class TestPqrs:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
+            def map(self, fn, items, chunksize=1):
+                chunks.append(chunksize)
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(claims.os, "cpu_count", lambda: cpus)
         assert cmd_verify_pqrs(500, jobs=jobs).status == "verified"
         assert seen == [workers]
+        assert chunks and min(chunks) >= 1
 
     def test_holder_mismatch_makes_pqrs_partial(self, monkeypatch):
         # a failed cross-check is not a counterexample

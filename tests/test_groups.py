@@ -210,6 +210,8 @@ class TestNormalSubgroups:
 
     def test_matches_pairwise_join_oracle(self):
         more = [realize(d) for n in (210, 330) for d in enumerate_squarefree(n)]
+        # each repeats a proper seed closure; too large for the brute-force oracle
+        more += [build("D10xD10"), build("D18xD18")]
         for G in list(corpus_groups(300)) + more:
             got = [N.tolist() for N in normal_subgroups(G)]
             assert got == [N.tolist() for N in normal_subgroups_pairwise(G)], G.label
