@@ -31,7 +31,7 @@ from .errors import CapacityError, InputError
 from .groups import (
     TABLE_CAP,
     GroupTable,
-    _element_orders,
+    _power_map,
     center,
     derived_subgroup,
     direct_product,
@@ -544,7 +544,12 @@ def _is_abelian_subset(G: GroupTable, ids: np.ndarray) -> bool:
 
 
 def _is_cyclic(G: GroupTable) -> bool:
-    return bool((_element_orders(G) == G.order).any())
+    # g generates G iff g^(n/p) != e for every prime p dividing n = |G|
+    n = G.order
+    gen = np.ones(n, dtype=bool)
+    for p in prime_factors(n):
+        gen &= _power_map(G, n // p) != G.identity
+    return bool(gen.any())
 
 
 class _Multiplicativity:

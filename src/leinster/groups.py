@@ -185,7 +185,7 @@ def normal_subgroups(G: GroupTable) -> list[np.ndarray]:
     every = np.arange(n)
     covered = np.ones(n, dtype=bool)
     for p, k in factorize(n):
-        covered &= _powers(G, every, np.full(n, p**k)) != e
+        covered &= _power_map(G, p**k) != e
     covered[e] = True
     seeds = []
     for g in np.flatnonzero(~covered).tolist():
@@ -254,50 +254,38 @@ def quotient(G: GroupTable, N: np.ndarray) -> GroupTable:
 
 
 # ---------------------------------------------------------------------------
-# Element orders, Sylow subgroups
+# Powers, Sylow subgroups
 # ---------------------------------------------------------------------------
 
-def _powers(G: GroupTable, ids: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    """ids[i] ** exps[i] for every i, by square-and-multiply over the table."""
+def _power_map(G: GroupTable, e: int) -> np.ndarray:
+    """g ** e for every id g, by square-and-multiply over whole arrays."""
     t = G.table
-    result = np.full(ids.size, G.identity, dtype=np.int64)
-    base = ids.astype(np.int64)
-    exps = exps.copy()
-    while exps.any():
-        odd = (exps & 1).astype(bool)
-        result[odd] = t[result[odd], base[odd]]
+    result = np.full(G.order, G.identity, dtype=np.int64)
+    base = np.arange(G.order)
+    while e:
+        if e & 1:
+            result = t[result, base]
         base = t[base, base]
-        exps >>= 1
+        e >>= 1
     return result
-
-
-def _element_orders(G: GroupTable) -> np.ndarray:
-    """Order of every element: start at |G| and, for each prime p dividing
-    it, divide by p while g^(order / p) is still the identity."""
-    n = G.order
-    orders = np.full(n, n, dtype=np.int64)
-    for p in prime_factors(n):
-        pending = np.arange(n)
-        while pending.size:
-            pending = pending[orders[pending] % p == 0]
-            drop = _powers(G, pending, orders[pending] // p) == G.identity
-            pending = pending[drop]
-            orders[pending] //= p
-    return orders
 
 
 def sylow(G: GroupTable, p: int) -> np.ndarray:
     """One Sylow p-subgroup, deterministic: the closure of the p-element of
     largest order with the smallest id, grown one p-element at a time."""
-    n = G.order
-    pk = p ** next((k for q, k in factorize(n) if q == p), 0)
-    if pk == 1:
+    n, e = G.order, G.identity
+    k = next((k for q, k in factorize(n) if q == p), 0)
+    if k == 0:
         raise InputError(f"{p} is not a prime dividing the group order {n}")
-    orders = _element_orders(G)
-    # an element order divides n, so it is a power of p iff it divides pk
-    p_elems = np.flatnonzero(pk % orders == 0)
-    cur = _closure_ids(G, [p_elems[np.argmax(orders[p_elems])]])
-    while cur.size < pk:
+    # after j steps x = g^(p^j); a p-element of order p^a reaches e in a <= k
+    # steps, and level counts the steps before it does, so level = a
+    power, x, level = _power_map(G, p), np.arange(n), np.zeros(n, dtype=np.int64)
+    for _ in range(k):
+        level += x != e
+        x = power[x]
+    p_elems = np.flatnonzero(x == e)
+    cur = _closure_ids(G, [p_elems[np.argmax(level[p_elems])]])
+    while cur.size < p**k:
         mask = np.zeros(n, dtype=bool)
         mask[cur] = True
         cands = p_elems[~mask[p_elems]]

@@ -26,7 +26,9 @@ test lists the permutations.
 ``quotient_coset_loop`` and ``sylow_growth_loop`` are the engine's earlier
 primitives: one table step per power, all n^2 commutators, conjugation of
 every member, a Python loop over the cosets, and a Python loop over the
-candidate normalisers that closes each one.
+candidate normalisers that closes each one.  ``power_map_stepping`` reads
+g^e off as g^(e mod |g|) by one table step per power, where the code under
+test squares and multiplies.
 
 ``census_universe_pooled`` is the census's earlier list-building form: every
 base family offered over all orders into one pool, then the coprime products
@@ -271,6 +273,19 @@ def element_orders_sweep(G: GroupTable) -> np.ndarray:
         orders[pending[done]] = k
         pending, cur = pending[~done], cur[~done]
     return orders
+
+
+def power_map_stepping(G: GroupTable, e: int) -> np.ndarray:
+    """g^e for every g as g^(e mod |g|): step cur = g^j one power at a time
+    and keep each element's power when j reaches e mod its order."""
+    t, every = G.table, np.arange(G.order)
+    want = e % element_orders_sweep(G)
+    result = np.full(G.order, G.identity, dtype=np.int64)
+    cur = result.copy()
+    for j in range(1, int(want.max()) + 1):
+        cur = t[cur, every]
+        result[want == j] = cur[want == j]
+    return result
 
 
 def derived_subgroup_sweep(G: GroupTable) -> np.ndarray:

@@ -13,21 +13,22 @@ from conftest import (
     join,
     normal_subgroups_bruteforce,
     normal_subgroups_pairwise,
+    power_map_stepping,
     quotient_coset_loop,
     sylow_growth_loop,
     validate,
 )
 
 from leinster import groups
-from leinster.claims import ENGINE_VALIDATION_CAP, corpus_groups, pqrs_orders
+from leinster.claims import ENGINE_VALIDATION_CAP, _is_cyclic, corpus_groups, pqrs_orders
 from leinster.constructors import build
 from leinster.errors import CapacityError, InputError
 from leinster.groups import (
     GroupTable,
     _closure_ids,
     _conjugates,
-    _element_orders,
     _is_normal,
+    _power_map,
     center,
     derived_subgroup,
     direct_product,
@@ -297,7 +298,7 @@ class TestElementOrdersAndSylow:
     def test_sweep_matches_scalar_and_permutation_orders(self):
         combinatorics = pytest.importorskip("sympy.combinatorics")
         for G in list(corpus_groups(30)) + [build(spec) for spec in ORACLE_SPECS]:
-            orders = _element_orders(G).tolist()
+            orders = element_orders_sweep(G).tolist()
             assert orders == [G.element_order(g) for g in range(G.order)], G.label
             # the order of g is the order of left multiplication by g
             regular = [combinatorics.Permutation(G.table[g].tolist()).order() for g in range(G.order)]
@@ -321,10 +322,19 @@ class TestPrimitivesMatchOracles:
     """The engine's primitives equal their earlier implementations, kept in
     conftest as oracles, exactly."""
 
-    def test_element_orders(self):
+    def test_power_map(self):
         for G in oracle_corpus():
-            got, want = _element_orders(G), element_orders_sweep(G)
-            assert got.dtype == want.dtype and got.tolist() == want.tolist(), G.label
+            n = G.order
+            exps = {0, 1, 2, n, n + 1}
+            exps |= {p**k for p, k in factorize(n)} | {n // p for p in prime_factors(n)}
+            for e in sorted(exps):
+                assert _power_map(G, e).tolist() == power_map_stepping(G, e).tolist(), (G.label, e)
+
+    def test_is_cyclic_on_groups_and_quotients(self):
+        # C1, non-abelian groups and the non-cyclic abelian quotients
+        for G in oracle_corpus():
+            for Q in [G] + [quotient(G, N) for N in normal_subgroups(G)]:
+                assert _is_cyclic(Q) == (element_orders_sweep(Q) == Q.order).any(), (G.label, Q.order)
 
     def test_derived_subgroup(self):
         # in the A4 products the closure of the generators' commutators is
