@@ -39,12 +39,7 @@ class GroupTable:
         self.table = table.astype(np.int32, copy=False)
         self.gens = np.asarray(gens, dtype=np.int64)
 
-    # -- multiplication ----------------------------------------------------
-
-    def mul(self, a: int, b: int) -> int:
-        self._check_id(a)
-        self._check_id(b)
-        return int(self.table[a, b])
+    # -- elements ----------------------------------------------------------
 
     def _check_id(self, g: int) -> None:
         if not 0 <= g < self.order:
@@ -71,10 +66,10 @@ class GroupTable:
 
     def element_order(self, g: int) -> int:
         self._check_id(g)
-        e = self.identity
+        e, t = self.identity, self.table
         k, cur = 1, g
         while cur != e:
-            cur = self.mul(cur, g)
+            cur = int(t[cur, g])
             k += 1
         return k
 

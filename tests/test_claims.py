@@ -39,7 +39,7 @@ from leinster.analysis import (
 from leinster.cli import main
 from leinster.constructors import build
 from leinster.errors import InputError
-from leinster.groups import TABLE_CAP
+from leinster.groups import TABLE_CAP, derived_subgroup, normal_subgroups
 from leinster.numtheory import BOUNDS, EQUATIONS, divisors, factorize, is_squarefree, primes_upto
 from leinster.squarefree import (
     MetacyclicDescriptor,
@@ -545,6 +545,35 @@ class TestTheoremClaims:
         pairs = results[0].evidence["pairs_checked"]
         assert len(calls["normal_subgroups"]) == len(corpus) + pairs
         assert calls["derived_subgroup"]
+
+    def test_cyclic_quotients_build_one_quotient_per_group(self, monkeypatch):
+        # G/G' alone, once for each group with sigma(G) <= 2|G|
+        calls = []
+        real = claims.quotient
+
+        def recording(G, N):
+            calls.append((G.label, N.tolist()))
+            return real(G, N)
+
+        monkeypatch.setattr(claims, "quotient", recording)
+        corpus = list(corpus_groups(60))
+        res = claims._walk(corpus, [claims._CyclicQuotients()])[0]
+        qualifying = [G for G in corpus if sum(N.size for N in normal_subgroups(G)) <= 2 * G.order]
+        assert calls == [(G.label, derived_subgroup(G).tolist()) for G in qualifying]
+        assert res.status == "verified"
+        assert res.evidence["quotients_checked"] > len(qualifying)
+
+    def test_non_cyclic_derived_quotient_refutes(self, monkeypatch):
+        corpus = list(corpus_groups(60))
+        honest = claims._walk(corpus, [claims._CyclicQuotients()])[0]
+        monkeypatch.setattr(claims, "_is_cyclic", lambda G: False)
+        res = claims._walk(corpus, [claims._CyclicQuotients()])[0]
+        qualifying = [G for G in corpus if sum(N.size for N in normal_subgroups(G)) <= 2 * G.order]
+        assert res.status == "refuted"
+        assert res.evidence["failures"] == [(G.label, derived_subgroup(G).size) for G in qualifying]
+        assert res.evidence["quotients_checked"] == honest.evidence["quotients_checked"]
+        assert honest.status == "verified"
+        json.dumps(res.to_json())  # the count is a Python int
 
     def test_theorems_stream_the_corpus(self, monkeypatch):
         # the groups of order <= 60 stay for the multiplicativity pairs; of

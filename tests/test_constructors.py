@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import abelian_group, perm_group, presentation_table, product_table, validate
+from conftest import abelian_group, mul, perm_group, presentation_table, product_table, validate
 
 from leinster import constructors as con
 from leinster.claims import ENGINE_VALIDATION_CAP, pqrs_orders
@@ -91,7 +91,7 @@ class TestBuilders:
         # y x y^-1 = x^t in C7 x| C3 with t = 2
         G = con.build("SD(7,3,2)")
         x, y = 3, 1  # id = i*b + j
-        lhs = G.mul(G.mul(y, x), G.inv_array[y])
+        lhs = mul(G, mul(G, y, x), G.inv_array[y])
         assert lhs == 2 * 3  # x^2
 
     @pytest.mark.parametrize("label", ["S3xC5", "Dic5xC19", "A4xC3", "SD(7,8,6)xC3"])

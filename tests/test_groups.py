@@ -9,8 +9,10 @@ from conftest import (
     cyclic_subgroup,
     derived_subgroup_sweep,
     element_orders_sweep,
+    is_abelian_pairwise,
     is_normal_bruteforce,
     join,
+    mul,
     normal_subgroups_bruteforce,
     normal_subgroups_pairwise,
     power_map_stepping,
@@ -20,7 +22,7 @@ from conftest import (
 )
 
 from leinster import groups
-from leinster.claims import ENGINE_VALIDATION_CAP, _is_cyclic, corpus_groups, pqrs_orders
+from leinster.claims import ENGINE_VALIDATION_CAP, _is_abelian_subset, _is_cyclic, corpus_groups, pqrs_orders
 from leinster.constructors import build
 from leinster.errors import CapacityError, InputError
 from leinster.groups import (
@@ -65,8 +67,8 @@ class TestGroupTable:
         G = build("Dic5")
         e = G.identity
         for g in range(G.order):
-            assert G.mul(g, G.inv_array[g]) == e
-            assert G.mul(e, g) == g
+            assert mul(G, g, G.inv_array[g]) == e
+            assert mul(G, e, g) == g
 
     def test_identity_away_from_id_zero(self):
         # C4 relabelled by sigma = (0 2)(1 3): the identity is id 2
@@ -98,6 +100,12 @@ class TestGroupTable:
         assert sorted(G.element_order(g) for g in range(12)) == [
             1, 2, 3, 3, 4, 4, 6, 6, 12, 12, 12, 12,
         ]
+
+    def test_element_order_rejects_ids_out_of_range(self):
+        G = build("C12")
+        for g in (-1, 12):
+            with pytest.raises(InputError, match="out of range"):
+                G.element_order(g)
 
     def test_capacity_cap(self):
         with pytest.raises(CapacityError):
@@ -187,12 +195,12 @@ class TestNormalSubgroups:
         orders = element_orders_sweep(G)
 
         def conjugacy_class(g):
-            return frozenset(G.mul(G.mul(x, g), G.inv_array[x]) for x in range(G.order))
+            return frozenset(mul(G, mul(G, x, g), G.inv_array[x]) for x in range(G.order))
 
         cyclic = {cyclic_subgroup(G, g) for g in range(G.order) if len(factorize(int(orders[g]))) == 1}
         classes = {
             frozenset(
-                frozenset(G.mul(G.mul(x, c), G.inv_array[x]) for c in C) for x in range(G.order)
+                frozenset(mul(G, mul(G, x, c), G.inv_array[x]) for c in C) for x in range(G.order)
             )
             for C in cyclic
         }
@@ -336,6 +344,27 @@ class TestPrimitivesMatchOracles:
             for Q in [G] + [quotient(G, N) for N in normal_subgroups(G)]:
                 assert _is_cyclic(Q) == (element_orders_sweep(Q) == Q.order).any(), (G.label, Q.order)
 
+    def test_cyclic_derived_quotient_decides_every_abelian_quotient(self):
+        # G/N is abelian iff G' <= N; the per-N quotients are the oracle
+        not_cyclic = set()
+        for G in oracle_corpus():
+            D = derived_subgroup(G)
+            above = [N for N in normal_subgroups(G) if np.isin(D, N).all()]
+            every = all(_is_cyclic(quotient(G, N)) for N in above)
+            assert _is_cyclic(quotient(G, D)) == every, G.label
+            if not every:
+                not_cyclic.add(G.label)
+        assert {"C2xC2", "C2xC2xC3"} <= not_cyclic
+
+    def test_is_abelian_subset_on_every_normal_subgroup(self):
+        seen = set()
+        for G in oracle_corpus():
+            for N in normal_subgroups(G):
+                got = _is_abelian_subset(G, N)
+                assert got == is_abelian_pairwise(G, N), (G.label, N.size)
+                seen.add(got)
+        assert seen == {True, False}
+
     def test_derived_subgroup(self):
         # in the A4 products the closure of the generators' commutators is
         # not normal, so the conjugates add elements
@@ -385,7 +414,7 @@ class TestPrimitivesMatchOracles:
             assert conj.shape == (xs.size, cs.size), G.label
             for i, x in enumerate(xs.tolist()):
                 for j, c in enumerate(cs.tolist()):
-                    assert conj[i, j] == G.mul(G.mul(x, c), G.inv_array[x]), (G.label, x, c)
+                    assert conj[i, j] == mul(G, mul(G, x, c), G.inv_array[x]), (G.label, x, c)
 
     def test_results_are_ascending_closed_id_arrays(self):
         # a subgroup is the strictly ascending int64 array of its ids
