@@ -647,7 +647,7 @@ class _CyclicQuotients(_Counting):
     quotient of a cyclic group is cyclic, so the one test of G/G', itself
     such a quotient, decides them all: each N holding G' counts as checked,
     and a non-cyclic G/G' is one failure (G.label, |G'|), the smallest
-    failing quotient."""
+    failing quotient.  G/1 is G itself, so it needs no quotient table."""
 
     claim_id = "thm-cyclic-quotient"
     statement = "when sigma(G) <= 2|G|, every abelian quotient of G is cyclic"
@@ -661,7 +661,7 @@ class _CyclicQuotients(_Counting):
         in_derived = np.zeros(G.order, dtype=bool)
         in_derived[derived] = True
         self.checked += sum(1 for N in facts.normals if np.count_nonzero(in_derived[N]) == derived.size)
-        if not _is_cyclic(quotient(G, derived)):
+        if not _is_cyclic(quotient(G, derived) if derived.size > 1 else G):
             self.failures.append((G.label, derived.size))
 
 
@@ -709,14 +709,20 @@ def claim_tau_gt_7(census_hits: list[LeinsterReport]) -> ClaimResult:
     )
 
 
+def _cyclic_sigmas(bound: int) -> list[int]:
+    """sigma(C_n) at index n <= bound, by one sieve: C_n has one normal
+    subgroup of each order d | n, so each d adds d to every multiple of d."""
+    sigma = [0] * (bound + 1)
+    for d in range(1, bound + 1):
+        sigma[d::d] = [s + d for s in sigma[d::d]]
+    return sigma
+
+
 @_timed
 def claim_cyclic_perfect() -> ClaimResult:
     bound = 10000
-    failures = [
-        n
-        for n in range(1, bound + 1)
-        if analyze_cyclic(n).is_leinster != is_perfect(n)
-    ]
+    sigma = _cyclic_sigmas(bound)
+    failures = [n for n in range(1, bound + 1) if (sigma[n] == 2 * n) != is_perfect(n)]
     return ClaimResult(
         claim_id="thm-cyclic-perfect",
         status=_status(failures, bound),

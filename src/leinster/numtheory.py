@@ -15,12 +15,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
+import numpy as np
+
 from .errors import InputError
 
 # Scanners guarantee exactness for operands up to 2^63.  The solved forms are
 # at most cubic in the scanned variables, so any single bound above 2^21 could
 # push intermediates past that width; reject instead of wrapping.
 MAX_SCAN_BOUND = 2_000_000
+_SCAN_BLOCK = 1 << 16  # sieve entries per int64 block in scan_equation, to bound its temporaries
 
 
 def _sieve(n: int) -> bytearray:
@@ -161,7 +164,8 @@ class EquationSpec:
     dependent one.  Both callables take their variables positionally, in
     ``chain`` order.  ``solved`` takes ``chain[:-1]`` and returns (numerator,
     denominator) of the dependent variable; the value is admissible only when
-    the denominator is strictly positive and divides the numerator.
+    the denominator is strictly positive and divides the numerator.  It is
+    plain integer arithmetic, so its last argument may be an int64 array.
     ``unreduced`` takes all of ``chain`` and is the original relation before
     solving, used by the brute-force oracle.
 
@@ -206,28 +210,29 @@ def _ascending(seq: tuple[int, ...]) -> bool:
 
 
 def scan_equation(eq: EquationSpec, bounds: dict[str, int]) -> list[tuple[int, ...]]:
-    """All prime tuples (free..., dependent) within bounds satisfying eq.
-
-    Exact arithmetic throughout; result sorted lexicographically.  The last
-    free variable, whose bound is the widest in the registry (up to 10^6),
-    is streamed off its sieve inside the product over the others, so its
-    primes are never held as a list.
-    """
+    """All prime tuples (free..., dependent) within bounds satisfying eq,
+    sorted.  Per head of the other free variables, ``solved`` runs once per
+    block of _SCAN_BLOCK sieve entries, on an int64 array of the last free
+    variable's primes there; each prime it passes is solved again with
+    Python ints, so every hit is exact."""
     _check_bounds(eq, bounds)
     fixed = tuple(value for _, value in eq.fixed)
     top = bounds[eq.dependent]
     *outer, last = eq.free
-    sieve = _sieve(bounds[last])
+    flags = np.frombuffer(_sieve(bounds[last]), dtype=np.uint8)
     hits = []
     for head in itertools.product(*(primes_upto(bounds[name]) for name in outer)):
-        for p in itertools.compress(range(len(sieve)), sieve):
-            free = head + (p,)
-            num, den = eq.solved(*fixed, *free)
-            if den <= 0 or num <= 0 or num % den != 0:
-                continue
-            dep = num // den
-            if dep <= top and is_prime(dep) and _ascending(fixed + free + (dep,)):
-                hits.append(free + (dep,))
+        for start in range(0, flags.size, _SCAN_BLOCK):
+            primes = np.flatnonzero(flags[start : start + _SCAN_BLOCK]) + start
+            num, den = eq.solved(*fixed, *head, primes)
+            ok = (den > 0) & (num > 0)
+            ok &= num % np.where(ok, den, 1) == 0  # divide only where den > 0
+            for p in primes[ok].tolist():
+                free = head + (p,)
+                num, den = eq.solved(*fixed, *free)
+                dep = num // den
+                if dep <= top and is_prime(dep) and _ascending(fixed + free + (dep,)):
+                    hits.append(free + (dep,))
     return sorted(hits)
 
 

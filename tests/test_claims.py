@@ -547,7 +547,8 @@ class TestTheoremClaims:
         assert calls["derived_subgroup"]
 
     def test_cyclic_quotients_build_one_quotient_per_group(self, monkeypatch):
-        # G/G' alone, once for each group with sigma(G) <= 2|G|
+        # G/G' alone, once for each group with sigma(G) <= 2|G| and G' > 1;
+        # G/1 is G, so an abelian group is decided with no quotient table
         calls = []
         real = claims.quotient
 
@@ -559,7 +560,9 @@ class TestTheoremClaims:
         corpus = list(corpus_groups(60))
         res = claims._walk(corpus, [claims._CyclicQuotients()])[0]
         qualifying = [G for G in corpus if sum(N.size for N in normal_subgroups(G)) <= 2 * G.order]
-        assert calls == [(G.label, derived_subgroup(G).tolist()) for G in qualifying]
+        derived = [(G.label, derived_subgroup(G).tolist()) for G in qualifying]
+        assert calls == [(label, ids) for label, ids in derived if len(ids) > 1]
+        assert ("C15", [0]) in derived and "C15" not in {label for label, _ in calls}
         assert res.status == "verified"
         assert res.evidence["quotients_checked"] > len(qualifying)
 
@@ -613,6 +616,17 @@ class TestTheoremClaims:
         res = claims.claim_tau_gt_7(hits)
         assert res.evidence == {"groups_checked": 0, "failures": []}
         assert res.status == "partial"
+
+    def test_cyclic_sigma_sieve_matches_analyze_cyclic(self):
+        sigma = claims._cyclic_sigmas(10000)
+        assert sigma[1:] == [analyze_cyclic(n).sigma for n in range(1, 10001)]
+
+    def test_cyclic_perfect_disagreement_refutes(self, monkeypatch):
+        real = claims.is_perfect
+        monkeypatch.setattr(claims, "is_perfect", lambda n: n != 28 and real(n))
+        res = claims.claim_cyclic_perfect()
+        assert res.status == "refuted"
+        assert res.evidence["failures"] == [28]
 
     def test_equation_claims_carry_oracle_agreement(self, results):
         for eq_id in EQUATIONS:

@@ -1,15 +1,18 @@
 import dataclasses
 import inspect
+import itertools
 
+import numpy as np
 import pytest
 
-from leinster import claims
+from leinster import claims, numtheory
 from leinster.claims import claim_equation
 from leinster.errors import InputError
 from leinster.numtheory import (
     BOUNDS,
     EQUATIONS,
     MAX_SCAN_BOUND,
+    EquationSpec,
     check_bound,
     divisor_sum,
     divisors,
@@ -88,6 +91,40 @@ class TestEquationScanning:
         bounds = {name: 60 for name in eq.free + (eq.dependent,)}
         bounds[eq.dependent] = 500
         assert scan_equation(eq, bounds) == scan_equation_bruteforce(eq, bounds)
+
+    @pytest.mark.parametrize("eq_id", sorted(EQUATIONS))
+    def test_solved_form_is_exact_on_int64_arrays(self, eq_id):
+        # MAX_SCAN_BOUND keeps every registered form, at most cubic, below
+        # 2^63; an int64 result that wrapped would differ from the Python int
+        eq = EQUATIONS[eq_id]
+        fixed = [value for _, value in eq.fixed]
+        *outer, last = eq.free
+        corners = {name: [2, eq.bounds[name], MAX_SCAN_BOUND] for name in eq.free}
+        column = np.array(corners[last], dtype=np.int64)
+        for head in itertools.product(*(corners[name] for name in outer)):
+            num, den = (np.broadcast_to(v, column.shape) for v in eq.solved(*fixed, *head, column))
+            exact = [eq.solved(*fixed, *head, x) for x in corners[last]]
+            assert list(zip(num.tolist(), den.tolist())) == exact
+
+    @pytest.mark.parametrize("block", [numtheory._SCAN_BLOCK, 10])
+    def test_scan_across_block_edges(self, block, monkeypatch):
+        # twin primes (q, q + 2) on both sides of 2^16, the first block edge;
+        # the solved form's denominator is a plain int, not an array
+        twin = EquationSpec(
+            id="twin",
+            fixed=(),
+            chain=("q", "r"),
+            solved=lambda q: (q + 2, 1),
+            unreduced=lambda q, r: r == q + 2,
+            bounds={"q": 70000, "r": 70002},
+            oracle_bounds={"q": 100, "r": 102},
+        )
+        monkeypatch.setattr(numtheory, "_SCAN_BLOCK", block)
+        primes = primes_upto(70002)
+        prime_set = set(primes)
+        expected = [(q, q + 2) for q in primes if q <= 70000 and q + 2 in prime_set]
+        assert any(q < 2**16 for q, _ in expected) and any(q > 2**16 for q, _ in expected)
+        assert scan_equation(twin, twin.bounds) == expected
 
     def test_bound_validation(self):
         eq = EQUATIONS["thm26-final"]
