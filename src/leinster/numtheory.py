@@ -26,21 +26,21 @@ MAX_SCAN_BOUND = 2_000_000
 _SCAN_BLOCK = 1 << 16  # sieve entries per int64 block in scan_equation, to bound its temporaries
 
 
-def _sieve(n: int) -> bytearray:
-    """Entry k is 1 when k is prime, for 0 <= k <= n; n >= 1."""
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
+def _sieve(n: int) -> np.ndarray:
+    """A np.uint8 array whose entry k is 1 when k is prime, for 0 <= k <= n; n >= 1."""
+    sieve = np.ones(n + 1, dtype=np.uint8)
+    sieve[:2] = 0
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+            sieve[p * p :: p] = 0
     return sieve
 
 
 def primes_upto(n: int) -> list[int]:
-    """All primes <= n, ascending (simple sieve)."""
+    """All primes <= n, ascending, as Python ints (simple sieve)."""
     if n < 2:
         return []
-    return list(itertools.compress(range(n + 1), _sieve(n)))
+    return np.flatnonzero(_sieve(n)).tolist()
 
 
 def is_prime(n: int) -> bool:
@@ -58,7 +58,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=65536)
+# bounded, since no claim reads an old factorization again: at census bound 10 000 it hits
+# 163 880 times and misses 22 152 (176 032 and 10 000 with one entry per n; the extra misses
+# are small n), and on corpus 300 8 755 and 10 000 at either size (measured in CHANGES.md)
+@lru_cache(maxsize=1024)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization as ((p, exponent), ...), p ascending."""
     if n < 1:
@@ -104,10 +107,7 @@ def _divisors(n: int) -> tuple[int, ...]:
 
 
 def divisor_sum(n: int) -> int:
-    total = 1
-    for p, e in factorize(n):
-        total *= (p ** (e + 1) - 1) // (p - 1)
-    return total
+    return math.prod((p ** (e + 1) - 1) // (p - 1) for p, e in factorize(n))
 
 
 def is_perfect(n: int) -> bool:
@@ -219,7 +219,7 @@ def scan_equation(eq: EquationSpec, bounds: dict[str, int]) -> list[tuple[int, .
     fixed = tuple(value for _, value in eq.fixed)
     top = bounds[eq.dependent]
     *outer, last = eq.free
-    flags = np.frombuffer(_sieve(bounds[last]), dtype=np.uint8)
+    flags = _sieve(bounds[last])
     hits = []
     for head in itertools.product(*(primes_upto(bounds[name]) for name in outer)):
         for start in range(0, flags.size, _SCAN_BLOCK):

@@ -1,10 +1,13 @@
 import dataclasses
+import importlib
 import inspect
 import itertools
+import pkgutil
 
 import numpy as np
 import pytest
 
+import leinster
 from leinster import claims, numtheory
 from leinster.claims import claim_equation
 from leinster.errors import InputError
@@ -34,6 +37,33 @@ def test_primes_upto():
     assert primes_upto(2) == [2]
     assert primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(primes_upto(10000)) == 1229
+
+
+def test_sieve_matches_is_prime():
+    flags = numtheory._sieve(10000)
+    assert flags.dtype == np.uint8
+    assert flags.tolist() == [int(is_prime(k)) for k in range(10001)]
+    for n in (1, 2, 3, 4, 49):
+        assert numtheory._sieve(n).tolist() == [int(is_prime(k)) for k in range(n + 1)]
+    assert int(numtheory._sieve(10**6).sum()) == 78498
+
+
+def test_primes_upto_gives_python_ints():
+    # the brute-force oracle and scan_equation's scalar re-solve need exact ints
+    assert all(type(p) is int for p in primes_upto(10**6))
+
+
+def test_every_cache_is_bounded():
+    # an unbounded cache keeps one entry per argument it was ever asked for
+    modules = [importlib.import_module(m.name) for m in pkgutil.iter_modules(leinster.__path__, "leinster.")]
+    sizes = {
+        f"{module.__name__}.{name}": fn.cache_info().maxsize
+        for module in modules
+        for name, fn in vars(module).items()
+        if hasattr(fn, "cache_info") and fn.__module__ == module.__name__
+    }
+    assert "leinster.numtheory.factorize" in sizes and None not in sizes.values()
+    assert sizes["leinster.numtheory.factorize"] <= 4096
 
 
 @pytest.mark.parametrize("n,expected", [(1, False), (2, True), (91, False), (97, True), (7919, True)])
