@@ -3,14 +3,15 @@
 Emits a JSON or text report of claim results; exit code 0 means every
 executed claim verified, 1 means at least one claim failed, 2 means the
 command never got as far as running a claim (bad usage or capacity) or its
-report could not be written.
+report could not be written.  ``--out FILE`` is opened before any claim runs,
+so an unwritable path exits 2 at once, and a later exit 2 leaves FILE empty.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import os
 import sys
 
 from . import __version__
@@ -82,17 +83,20 @@ def _render(claims: list, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out_path, code: int) -> int:
-    """Write the report and return code, or 2 if the report cannot be written."""
+def _cannot_write(target: str, exc: OSError) -> int:
+    print(f"error: cannot write the report to {target}: {exc.strerror or exc}", file=sys.stderr)
+    return 2
+
+
+def _emit(text: str, out, code: int) -> int:
+    """Write the report to out, the open --out file or None for stdout, and
+    return code, or 2 if the report cannot be written."""
     try:
-        if out_path:
-            with open(out_path, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        stream = out or sys.stdout
+        stream.write(text)
+        stream.flush()
     except OSError as exc:
-        print(f"error: cannot write the report to {out_path or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
-        return 2
+        return _cannot_write(repr(out.name) if out else "stdout", exc)
     return code
 
 
@@ -107,20 +111,20 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "pqrs" and args.jobs < 1:
         print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return 2
-    if args.out == "":
-        print("error: --out needs a file name", file=sys.stderr)
-        return 2
-    if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
-        print(f"error: --out directory does not exist: {args.out}", file=sys.stderr)
-        return 2
-    if args.out and os.path.isdir(args.out):
-        print(f"error: --out names a directory: {args.out}", file=sys.stderr)
-        return 2
+    try:
+        out = contextlib.nullcontext() if args.out is None else open(args.out, "w")
+    except OSError as exc:
+        return _cannot_write(repr(args.out), exc)
+    with out as fh:  # None for stdout
+        return _run(args, fh)
 
+
+def _run(args: argparse.Namespace, out) -> int:
+    """Run the parsed command and emit its report to out (see _emit)."""
     if args.command == "list-claims":
         if args.format == "json":
-            return _emit(json.dumps({"claims": list_claim_ids()}, indent=2) + "\n", args.out, 0)
-        return _emit("\n".join(list_claim_ids()) + "\n", args.out, 0)
+            return _emit(json.dumps({"claims": list_claim_ids()}, indent=2) + "\n", out, 0)
+        return _emit("\n".join(list_claim_ids()) + "\n", out, 0)
 
     try:
         if args.command == "census":
@@ -129,16 +133,14 @@ def main(argv: list[str] | None = None) -> int:
             claims = [cmd_verify_pqrs(args.bound, jobs=args.jobs)]
         elif args.command == "p2qr":
             claims = [cmd_verify_p2qr(args.prime_bound)]
-        elif args.command == "theorems":
+        else:  # theorems: argparse enforces the choices
             claims = cmd_verify_theorems(args.corpus_bound)
-        else:  # pragma: no cover - argparse enforces the choices
-            parser.error(f"unknown command {args.command}")
     except (InputError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     code = 0 if all(c.status == "verified" for c in claims) else 1
-    return _emit(_render(claims, args.format), args.out, code)
+    return _emit(_render(claims, args.format), out, code)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Cayley tables for every group family the analysis needs, built straight
 from their labels: cyclic ``C6``, dihedral ``D12``, dicyclic ``Dic5`` (or
 ``Q20``), split semidirect products of cyclic groups ``SD(7,8,6)`` (or
-``SF(15,2,11)``), the permutation groups ``A4`` and ``S3``, and direct
-products joined with ``x``.
+``SF(15,2,11)``), ``S3`` (built as ``D6``), the even permutations ``A4``,
+and direct products joined with ``x``.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ import numpy as np
 
 from .errors import InputError
 from .groups import GroupTable, check_capacity, direct_product
-
-# A4 and S3 show up in the candidate case analyses: (even_only, generators).
-NAMED_PERM_SPECS = {"A4": (True, ((1, 2, 0, 3), (1, 0, 3, 2))), "S3": (False, ((1, 2, 0), (1, 0, 2)))}
+from .numtheory import order_divides
 
 
 # ---------------------------------------------------------------------------
@@ -63,18 +61,13 @@ def _metacyclic_group(a: int, b: int, t: int, s: int, label: str) -> GroupTable:
     return GroupTable(n, table, gens, label)
 
 
-def _permutation_group(even_only: bool, gens: tuple, label: str) -> GroupTable:
-    """The group that gens generate: every permutation of {0..d-1}, or only
-    the even ones if asked, in lexicographic order, which puts the identity
-    first, composed as (p q)[k] = p[q[k]]."""
-    perms = [
-        p
-        for p in itertools.permutations(range(len(gens[0])))
-        if not even_only or sum(u > v for u, v in itertools.combinations(p, 2)) % 2 == 0
-    ]
+def _alternating_group_a4() -> GroupTable:
+    """The even permutations of {0..3} in lexicographic order (identity
+    first), composed as (p q)[k] = p[q[k]]."""
+    perms = [p for p in itertools.permutations(range(4)) if sum(u > v for u, v in itertools.combinations(p, 2)) % 2 == 0]
     index = {p: k for k, p in enumerate(perms)}
     table = [[index[tuple(p[k] for k in q)] for q in perms] for p in perms]
-    return GroupTable(len(perms), np.array(table), [index[g] for g in gens], label)
+    return GroupTable(12, np.array(table), [index[(1, 2, 0, 3)], index[(1, 0, 3, 2)]], "A4")
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +93,8 @@ def _build_atom(tok: str) -> GroupTable:
     if not m:
         raise InputError(f"cannot parse group token {tok!r}")
     kind, value = next((k, v) for k, v in m.groupdict().items() if v is not None)
-    if kind == "name":
-        return _permutation_group(*NAMED_PERM_SPECS[value], value)
+    if kind == "name":  # S3 is D6
+        return _alternating_group_a4() if value == "A4" else _metacyclic_group(3, 2, 2, 0, "S3")
     if kind in ("sd", "sf"):
         a, b, t = (int(v) for v in value.split(","))
         if a < 1 or b < 1:
@@ -112,7 +105,7 @@ def _build_atom(tok: str) -> GroupTable:
         t %= a
         if math.gcd(t, a) != 1:
             raise InputError(f"twist {t} is not a unit mod {a}")
-        if pow(t, b, a) != 1 % a:
+        if not order_divides(t, a, b):
             raise InputError(f"twist {t} does not satisfy t^{b} = 1 mod {a}")
         return _metacyclic_group(a, b, t, 0, label)
     n = int(value)

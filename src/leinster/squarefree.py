@@ -16,7 +16,7 @@ from functools import lru_cache
 from . import constructors
 from .errors import InputError
 from .groups import GroupTable
-from .numtheory import _divisors, divisors, factorize, is_squarefree, order_is_exactly, prime_factors
+from .numtheory import _divisors, divisors, factorize, is_squarefree, order_divides, order_is_exactly, prime_factors
 
 
 @dataclass(frozen=True, order=True)
@@ -215,7 +215,7 @@ def split_metacyclic_normal_orders(a: int, b: int, t: int) -> list[int]:
     if math.gcd(a, b) != 1:
         raise InputError(f"need gcd(a, b) = 1, got ({a}, {b})")
     t %= a
-    if pow(t, b, a) != 1 % a:
+    if not order_divides(t, a, b):
         raise InputError(f"twist {t} does not satisfy t^{b} = 1 mod {a}")
     orders = list(_divisors(a))  # f = 1: t^b = 1, so every subgroup of <x> is normal
     for f in _divisors(b)[1:]:

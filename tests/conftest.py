@@ -23,9 +23,9 @@ gathered block with its transpose.
 code under test forms iterated direct products of cyclic tables.
 ``product_table`` writes out the direct product from its id pairs in int64, where
 the code under test broadcasts the two int32 tables.
-``presentation_table`` writes out the metacyclic product formula in int64,
-and ``perm_group`` closes A4 and S3 from generators, where the code under
-test lists the permutations.
+``presentation_table`` writes out the metacyclic product formula in int64
+(S3 among the dihedral tables), and ``perm_group`` closes A4 from its
+generators, where the code under test lists the even permutations.
 
 ``element_orders_sweep``, ``derived_subgroup_sweep``, ``is_normal_by_conjugation``,
 ``quotient_coset_loop`` and ``sylow_growth_loop`` are the engine's earlier

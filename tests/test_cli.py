@@ -74,8 +74,10 @@ class TestExitCodes:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.out == ""
 
-    def test_unwritable_out_exits_two(self, tmp_path, capsys):
-        # the directory exists, but no file of a name this long can be created
+    def test_unwritable_out_exits_two(self, tmp_path, capsys, monkeypatch):
+        # the directory exists, but no file of a name this long can be created;
+        # that is found before any claim runs
+        monkeypatch.setattr(cli, "cmd_census", lambda *a: pytest.fail("claim ran"))
         out = tmp_path / ("r" * 300)
         assert main(["census", "--bound", "40", "--out", str(out)]) == 2
         captured = capsys.readouterr()
@@ -126,6 +128,13 @@ class TestExitCodes:
         assert "unrecognized arguments" in captured.err
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+    def test_exit_two_after_open_leaves_out_empty(self, tmp_path, capsys):
+        # --out is opened before the claim runs, as a shell's > FILE is
+        out = tmp_path / "report.json"
+        assert main(["census", "--bound", "50000", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_text() == ""
 
     def test_census_bound_above_cap_exits_two(self, capsys):
         # a bound above CENSUS_CAP (20 000) is a capacity error, not a claim

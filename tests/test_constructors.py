@@ -36,6 +36,11 @@ class TestSpecs:
         assert Q.label == D.label == "Dic5"
         assert np.array_equal(Q.table, D.table)
 
+    def test_s3_is_d6(self):
+        S, D = con.build("S3"), con.build("D6")
+        assert (S.label, D.label) == ("S3", "D6")
+        assert np.array_equal(S.table, D.table)
+
     @pytest.mark.parametrize("bad", [
         "", "C", "Cx", "D7", "Q6", "E8", "SD(x,2,3)", "C3x",
         "C0", "D0", "Q0", "Dic1", "SD(0,2,1)", "SD(3,0,1)",
@@ -121,7 +126,7 @@ class TestBuilders:
         assert np.array_equal(con.build(f"SD({a},{b},{t})").table, presentation_table(a, b, t, 0))
 
     @pytest.mark.parametrize("label,a,t,s", [
-        ("D2", 1, 0, 0), ("D4", 2, 1, 0), ("D12", 6, 5, 0), ("D2046", 1023, 1022, 0),
+        ("D2", 1, 0, 0), ("D4", 2, 1, 0), ("S3", 3, 2, 0), ("D12", 6, 5, 0), ("D2046", 1023, 1022, 0),
         ("Dic2", 4, 3, 2), ("Dic5", 10, 9, 5), ("Dic511", 1022, 1021, 511), ("Q20", 10, 9, 5),
     ])
     def test_dihedral_and_dicyclic_tables_match_presentation(self, label, a, t, s):
@@ -136,7 +141,7 @@ class TestBuilders:
             assert np.array_equal(con.build(d.label).table, table), d.label
 
     @pytest.mark.parametrize("label,generators", [
-        ("A4", ((1, 2, 0, 3), (1, 0, 3, 2))), ("S3", ((1, 2, 0), (1, 0, 2))),
+        ("A4", ((1, 2, 0, 3), (1, 0, 3, 2))),
     ])
     def test_named_tables_match_generator_closure(self, label, generators):
         G = con.build(label)

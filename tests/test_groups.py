@@ -174,10 +174,10 @@ class TestInvariantSubgroups:
     def test_is_normal(self):
         # conjugation by the generators, which quotient uses, decides normality
         G = build("S3")
-        rot = _closure_ids(G, [3])  # a 3-cycle
+        rot = _closure_ids(G, [2])  # the rotation x of the presentation
         assert rot.size == 3 and _is_normal(G, rot)
         assert is_normal_bruteforce(G, frozenset(rot.tolist()))
-        flip = _closure_ids(G, [1])
+        flip = _closure_ids(G, [1])  # the flip y
         assert flip.size == 2 and not _is_normal(G, flip)
         assert not is_normal_bruteforce(G, frozenset(flip.tolist()))
 

@@ -1,8 +1,11 @@
+import ast
 import dataclasses
 import importlib
 import inspect
 import itertools
+import math
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from leinster.numtheory import (
     is_prime,
     is_squarefree,
     mult_order,
+    order_divides,
     order_is_exactly,
     prime_factors,
     primes_upto,
@@ -97,6 +101,51 @@ def test_mult_order():
     assert not order_is_exactly(2, 7, 6)
     with pytest.raises(InputError):
         mult_order(7, 14)  # not a unit
+
+
+def test_order_tests_match_mult_order():
+    # every unit t mod a <= 100 (t = 0 is the unit mod 1) against the least k
+    # with t^k = 1, which mult_order finds by stepping through the powers
+    for a in range(1, 101):
+        for t in (t for t in range(a) if math.gcd(t, a) == 1):
+            k = mult_order(t, a)
+            for b in range(1, 49):
+                assert order_divides(t, a, b) == (b % k == 0), (t, a, b)
+                assert order_is_exactly(t, a, b) == (k == b), (t, a, b)
+
+
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    # 999 800..1 000 000 is where scan_equation asks, near its 10^6 bounds
+    for n in [0, 1, -1, -7, *range(10001), *range(999800, 1000001)]:
+        assert is_prime(n) is sympy.isprime(n), n
+
+
+def _compares_pow_with_one(node) -> bool:
+    """node is a comparison of a three-argument pow(t, b, a) with 1 % m."""
+    if not isinstance(node, ast.Compare):
+        return False
+    sides = [node.left, *node.comparators]
+    return any(
+        isinstance(s, ast.Call) and isinstance(s.func, ast.Name) and s.func.id == "pow" and len(s.args) == 3
+        for s in sides
+    ) and any(
+        isinstance(s, ast.BinOp) and isinstance(s.op, ast.Mod) and isinstance(s.left, ast.Constant) and s.left.value == 1
+        for s in sides
+    )
+
+
+def test_order_divides_is_the_only_power_test():
+    # every t^b = 1 (mod a) question goes through numtheory.order_divides
+    found = []
+    for info in pkgutil.iter_modules(leinster.__path__, "leinster."):
+        tree = ast.parse(Path(importlib.import_module(info.name).__file__).read_text())
+        funcs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if _compares_pow_with_one(node):
+                owner = [f.name for f in funcs if node in ast.walk(f)]
+                found.append((info.name, owner))
+    assert found == [("leinster.numtheory", ["order_divides"])]
 
 
 class TestEquationScanning:
