@@ -33,19 +33,21 @@ def _metacyclic_group(a: int, b: int, t: int, s: int, label: str) -> GroupTable:
     tpow = [1 % a]
     for _ in range(b - 1):
         tpow.append(tpow[-1] * t % a)
-    tp = np.array(tpow, dtype=np.int32)
-    ids = np.arange(n, dtype=np.int32)
+    # mulmod[j, k] = t^j k mod a: b x a entries, that is n, built in int64
+    mulmod = (np.array(tpow)[:, None] * np.arange(a) % a).astype(np.int16)
+    ids = np.arange(n, dtype=np.int16)
     i, j = ids // b, ids % b
     # the x-part of a product depends only on (row, column's k) and the rest
-    # only on (row's j, column's l), so the table is one n x n int32 buffer:
-    # the reduced n x a x-part, built in place, repeated b times along the
-    # columns, then per row block j the wrap term and the y-part, each a b x n
-    # array broadcast over i.  The x-part is 1/b of the buffer and np.repeat
-    # copies one into the other: peaks of 1.5 tables for Dic511, 1.08 for
-    # SD(31,64,30), and 1.0 for b = 1, where the x-part is the table and
-    # neither the wrap term nor the y-part adds anything.  The b x n addends
-    # are 1/a of it.  No entry reaches a^2
-    x = tp[j][:, None] * np.arange(a, dtype=np.int32)
+    # only on (row's j, column's l), so the table is one n x n int16 buffer:
+    # the reduced n x a x-part, gathered from mulmod, repeated b times along
+    # the columns, then per row block j the wrap term and the y-part, each a
+    # b x n array broadcast over i.  The x-part is 1/b of the buffer and
+    # np.repeat copies one into the other: peaks of 1.5 tables for Dic511,
+    # 1.08 for SD(31,64,30), and 1.0 for b = 1, where the x-part is the table
+    # and neither the wrap term nor the y-part adds anything.  The b x n
+    # addends are 1/a of it.  Every entry stays below 2a before each %= a and
+    # below n after, so int16 holds it (n <= TABLE_CAP)
+    x = mulmod[j]
     x += i[:, None]
     x %= a
     if b == 1:
@@ -54,7 +56,7 @@ def _metacyclic_group(a: int, b: int, t: int, s: int, label: str) -> GroupTable:
     table = np.repeat(x, b, axis=1)
     blocks = table.reshape(a, b, n)  # [i, j] is the row of x^i y^j
     if s:
-        blocks += np.where(jl >= b, np.int32(s), np.int32(0))
+        blocks += np.where(jl >= b, np.int16(s), np.int16(0))
         table %= a
     table *= b
     blocks += jl % b

@@ -1,9 +1,10 @@
 """Explicit finite-group engine.
 
-Groups are dense Cayley tables on element ids 0..order-1, up to TABLE_CAP
-elements; building a larger group is a clean CapacityError.  All operations
-are pure and iterate element ids in ascending order, so every result is
-deterministic.  A subgroup is the strictly ascending int64 array of its ids.
+Groups are dense int16 Cayley tables on element ids 0..order-1, up to
+TABLE_CAP elements; building a larger group is a clean CapacityError.  All
+operations are pure and iterate element ids in ascending order, so every
+result is deterministic.  A subgroup is the strictly ascending int64 array
+of its ids.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class GroupTable:
             raise InputError("Cayley table shape does not match order")
         self.order = order
         self.label = label
-        self.table = table.astype(np.int32, copy=False)
+        self.table = table.astype(np.int16, copy=False)
         self.gens = np.asarray(gens, dtype=np.int64)
 
     # -- elements ----------------------------------------------------------
@@ -59,7 +60,7 @@ class GroupTable:
         e = self.identity
         # the first e in each row, or 0 for a row without one; one n-long
         # gather then confirms that every row's pick is e
-        inv = np.argmax(self.table == e, axis=1).astype(np.int32)
+        inv = np.argmax(self.table == e, axis=1).astype(np.int16)
         if (self.table[np.arange(self.order), inv] != e).any():
             raise InputError("missing inverses; not a group table")
         return inv
@@ -242,8 +243,8 @@ def quotient(G: GroupTable, N: np.ndarray) -> GroupTable:
         raise InputError("quotient requires a normal subgroup")
     # the minimum of a coset gN lies in it, so it labels the coset
     reps, coset_of = np.unique(G.table[:, N].min(axis=1), return_inverse=True)
-    # index an int32 map, so the n x n gather is built once in the table's dtype
-    q = coset_of.astype(np.int32)[G.table[np.ix_(reps, reps)]]
+    # index an int16 map, so the n x n gather is built once in the table's dtype
+    q = coset_of.astype(np.int16)[G.table[np.ix_(reps, reps)]]
     label = f"{G.label}/{N.size}" if G.label else ""
     return GroupTable(reps.size, table=q, gens=coset_of[G.gens], label=label)
 
@@ -302,7 +303,7 @@ def direct_product(G1: GroupTable, G2: GroupTable) -> GroupTable:
     check_capacity(order)
     n2 = G2.order
     label = f"{G1.label}x{G2.label}" if G1.label and G2.label else ""
-    # every entry is below the product's order, so int32 holds it
-    t = G1.table[:, None, :, None] * np.int32(n2) + G2.table[None, :, None, :]
+    # every entry is below the product's order <= TABLE_CAP, so int16 holds it
+    t = G1.table[:, None, :, None] * np.int16(n2) + G2.table[None, :, None, :]
     gens = np.concatenate([G1.gens * n2 + G2.identity, G1.identity * n2 + G2.gens])
     return GroupTable(order, table=t.reshape(order, order), gens=gens, label=label)

@@ -22,7 +22,7 @@ gathered block with its transpose.
 ``abelian_group`` builds C_m1 x ... x C_mk in one mixed-radix pass, where the
 code under test forms iterated direct products of cyclic tables.
 ``product_table`` writes out the direct product from its id pairs in int64, where
-the code under test broadcasts the two int32 tables.
+the code under test broadcasts the two int16 tables.
 ``presentation_table`` writes out the metacyclic product formula in int64
 (S3 among the dihedral tables), and ``perm_group`` closes A4 from its
 generators, where the code under test lists the even permutations.

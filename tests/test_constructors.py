@@ -107,8 +107,8 @@ class TestBuilders:
 
     @pytest.mark.parametrize("label,budget", [("C2039", 1.2), ("Dic5xC19", 1.5), ("S3xC5xC7", 1.5)])
     def test_builders_allocate_about_one_table(self, label, budget):
-        # the table itself plus small addends; int64 temporaries cast to
-        # int32 afterwards would hold three or four tables' worth at once
+        # the table itself plus small addends; int32 or int64 temporaries
+        # cast to int16 afterwards would hold three to five tables' worth
         tracemalloc.start()
         try:
             G = con.build(label)
@@ -122,7 +122,7 @@ class TestBuilders:
     )
     def test_semidirect_table_matches_presentation(self, a, b, t):
         # the reference is int64, up to orders near the table cap, where an
-        # int32 build would overflow first
+        # int16 build that multiplied before reducing would overflow
         assert np.array_equal(con.build(f"SD({a},{b},{t})").table, presentation_table(a, b, t, 0))
 
     @pytest.mark.parametrize("label,a,t,s", [

@@ -107,6 +107,18 @@ class TestGroupTable:
             with pytest.raises(InputError, match="out of range"):
                 G.element_order(g)
 
+    def test_tables_are_int16(self):
+        # every id is below TABLE_CAP, so int16 holds every table the
+        # builders, direct_product and quotient make, near the cap included
+        assert groups.TABLE_CAP < np.iinfo(np.int16).max
+        tables = [build(label) for label in ("C2039", "D2046", "Dic511", "SD(31,64,30)", "A4xC3", "S3xC5xC7")]
+        tables.append(direct_product(build("Dic5"), build("C19")))
+        G = build("D2046")
+        tables += [quotient(G, N) for N in normal_subgroups(G)]
+        for G in tables:
+            assert G.table.dtype == np.int16, G.label
+            assert G.inv_array.dtype == np.int16, G.label
+
     def test_capacity_cap(self):
         with pytest.raises(CapacityError):
             build("C30000")
@@ -267,8 +279,8 @@ class TestQuotientSylowProduct:
             quotient(G, H)
 
     def test_quotient_by_identity_allocates_about_two_tables(self):
-        # the n x n gather and the quotient's own int32 table; an int64
-        # gather cast afterwards would hold three tables' worth at once
+        # the n x n gather and the quotient's own int16 table; an int64
+        # gather cast afterwards would hold five tables' worth at once
         G = build("C1000")
         trivial = np.array([G.identity])
         tracemalloc.start()
@@ -364,6 +376,21 @@ class TestPrimitivesMatchOracles:
                 assert got == is_abelian_pairwise(G, N), (G.label, N.size)
                 seen.add(got)
         assert seen == {True, False}
+
+    @pytest.mark.parametrize("label", ["D2046", "Dic511"])
+    def test_is_abelian_subset_allocates_about_one_and_a_half_blocks(self, label):
+        # the |N| x |N| gather in the table's dtype and its bool compare; a
+        # gather widened to int64 would hold about four times as much
+        G = build(label)
+        (N,) = [N for N in normal_subgroups(G) if 2 * N.size == G.order]
+        tracemalloc.start()
+        try:
+            assert _is_abelian_subset(G, N)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = N.size**2 * G.table.itemsize
+        assert peak < 1.6 * block, peak / block
 
     def test_derived_subgroup(self):
         # in the A4 products the closure of the generators' commutators is
